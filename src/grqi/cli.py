@@ -203,7 +203,9 @@ def refine(
         if method == "tsgrqi":
             state = SubspacePair(left=yl, right=yr)
             step = lambda s: tsgrqi_step(c, s, scfg)
-            residual = lambda s: residual_angle(c, s.right)
+            residual = lambda s: max(
+                residual_angle(c, s.right), residual_angle(c.conj().T, s.left)
+            )
         elif method == "grqi":
             state = yr
             step = lambda y: grqi_step(c, y, scfg, full_output=True)
@@ -237,7 +239,10 @@ def refine(
         else:
             state = PencilPair(hatted_left=yl, right=yr)
             step = lambda s: pencil_tsgrqi_step(c, b, s, cfg=scfg)
-            residual = lambda s: _pencil_residual(c, b, s.right)
+            residual = lambda s: max(
+                _pencil_residual(c, b, s.right),
+                _pencil_residual(c.conj().T, b.conj().T, s.left),
+            )
     except GrqiError as exc:
         _fail_usage(str(exc))
 

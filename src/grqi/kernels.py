@@ -9,15 +9,18 @@ guard.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as spla
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DimensionMismatchError,
     NearDefectiveError,
     RankDeficientError,
+    SingularPencilShiftError,
     SolveFailedError,
     SpectraOverlapError,
     ZeroVectorError,
@@ -280,15 +283,35 @@ def solve_eps(c: np.ndarray, scale: float = 1e3) -> float:
     return scale * _U * float(np.linalg.norm(c, "fro"))
 
 
-def _solve_finite(m: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Dense solve returning None when the result is unusable."""
-    try:
-        z = np.linalg.solve(m, b)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(z)):
-        return None
-    return z
+def _is_real(x: np.ndarray) -> bool:
+    return np.isrealobj(x) or not np.any(x.imag)
+
+
+@functools.cache
+def _lu_funcs(dtype: np.dtype):
+    return get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+
+
+def _lu_solves(mats, rho, rhs) -> list:
+    """Factor M = mats[0] - rho mats[1] (the identity for a missing
+    mats[1]) once, then solve M z = rhs[0] and M^H z = rhs[1].  A side
+    that is skipped (None) or unusable (exact zero pivot, nonfinite
+    entries) comes back as None."""
+    dtype = next(r.dtype for r in rhs if r is not None)
+    m = np.array(mats[0], dtype=dtype, order="F")
+    if len(mats) == 1:
+        m.reshape(-1, order="F")[:: m.shape[0] + 1] -= rho
+    else:
+        m -= rho * mats[1]
+    getrf, getrs = _lu_funcs(dtype)
+    lu, piv, info = getrf(m, overwrite_a=True)
+    adjoint = 2 if dtype == np.complex128 else 1
+    out = [None] * len(rhs)
+    for side, r in enumerate(rhs):
+        if r is not None and info == 0:
+            z = getrs(lu, piv, r, trans=side * adjoint)[0]
+            out[side] = z if np.isfinite(z).all() else None
+    return out
 
 
 def shifted_solve(
@@ -296,38 +319,57 @@ def shifted_solve(
     rho: complex,
     b: np.ndarray,
     eps: float | None = None,
-) -> tuple[np.ndarray, bool]:
+    *,
+    left: np.ndarray | None = None,
+    pencil_b: np.ndarray | None = None,
+):
     """Solve (C - rho I) z = b, perturbing the shift if necessary.
 
-    When the direct solve fails outright or produces nonfinite entries
-    (shift numerically equal to an eigenvalue), the system is re-solved
-    with the shift moved to ``rho - eps``.  Near an eigenvalue this keeps
-    the solution direction intact, which is all the iteration needs.
-    Returns ``(z, perturbed)``; raises
-    :class:`~grqi.errors.SolveFailedError` if the perturbed solve fails
-    too.
+    ``pencil_b`` replaces I by B.  With ``left`` the adjoint system
+    (C - rho I)^H z = left is solved from the same LU factors, which are
+    computed in real arithmetic when all operands and rho are real.  A
+    side that meets an exact zero pivot or nonfinite entries (shift
+    numerically equal to an eigenvalue) is re-solved with the shift moved
+    to ``rho - eps``; near an eigenvalue this keeps the solution
+    direction intact, which is all the iteration needs.  Returns
+    ``(z, perturbed)``, plus ``(z_left, perturbed_left)`` when ``left``
+    is given; raises :class:`~grqi.errors.SolveFailedError`
+    (:class:`~grqi.errors.SingularPencilShiftError` for a pencil) if a
+    perturbed solve fails too.
     """
     c = np.asarray(c)
     n = c.shape[0]
-    if c.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
-    b = np.asarray(b)
-    if b.shape[0] != n:
+    mats = [c] if pencil_b is None else [c, np.asarray(pencil_b)]
+    rhs = [np.asarray(b)] + ([] if left is None else [np.asarray(left)])
+    if any(x.shape != (n, n) for x in mats):
         raise DimensionMismatchError(
-            f"right-hand side has {b.shape[0]} rows, expected {n}"
+            f"matrices must be square and equal, got {[x.shape for x in mats]}"
         )
-    eye = np.eye(n)
-    z = _solve_finite(c - rho * eye, b)
-    if z is not None:
-        return z, False
-    if eps is None:
-        eps = solve_eps(c)
-    z = _solve_finite(c - (rho - eps) * eye, b)
-    if z is None:
-        raise SolveFailedError(
-            f"shifted solve failed even after moving the shift by {eps:.3e}"
-        )
-    return z, True
+    if any(r.shape[0] != n for r in rhs):
+        raise DimensionMismatchError(f"right-hand sides need {n} rows")
+    rho = complex(rho)
+    if rho.imag == 0.0 and all(map(_is_real, mats + rhs)):
+        rho, mats = rho.real, [x.real for x in mats]
+        rhs = [np.asarray(r.real, dtype=np.float64) for r in rhs]
+    else:
+        rhs = [np.asarray(r, dtype=np.complex128) for r in rhs]
+    z = _lu_solves(mats, rho, rhs)
+    perturbed = [x is None for x in z]
+    if any(perturbed):
+        eps = solve_eps(c) if eps is None else eps
+        retry = [r if f else None for r, f in zip(rhs, perturbed)]
+        redo = _lu_solves(mats, rho - eps, retry)
+        z = [y if f else x for x, y, f in zip(z, redo, perturbed)]
+        if any(x is None for x in z):
+            pencil = pencil_b is not None
+            error = SingularPencilShiftError if pencil else SolveFailedError
+            raise error(
+                f"shifted solve failed at shift {rho} even after moving it "
+                f"by {eps:.3e}"
+            )
+    if left is None:
+        return z[0], perturbed[0]
+    return z[0], perturbed[0], z[1], perturbed[1]
 
 
 def sylvester_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import (
     GramSingularError,
     NearDefectiveError,
     OddDimensionError,
-    SingularPencilShiftError,
 )
 from .iterations import StepConfig, StepDiagnostics
 from .kernels import (
@@ -314,32 +313,6 @@ def skew_hamiltonian_step(
     return one_sided_step(c, apply_j, y, cfg, full_output=full_output)
 
 
-def _generalized_shifted_solve(
-    a: np.ndarray,
-    b: np.ndarray,
-    rho: complex,
-    rhs: np.ndarray,
-    eps: float,
-) -> tuple[np.ndarray, bool]:
-    """Solve (A - rho B) z = rhs, retrying with rho - eps on failure."""
-    try:
-        z = np.linalg.solve(a - rho * b, rhs)
-        if np.all(np.isfinite(z)):
-            return z, False
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        z = np.linalg.solve(a - (rho - eps) * b, rhs)
-        if np.all(np.isfinite(z)):
-            return z, True
-    except np.linalg.LinAlgError:
-        pass
-    raise SingularPencilShiftError(
-        f"pencil solve failed at shift {rho} even after moving it by "
-        f"{eps:.3e}"
-    )
-
-
 def generalized_hermitian_step(
     a: np.ndarray,
     b: np.ndarray,
@@ -380,8 +353,8 @@ def generalized_hermitian_step(
     z = np.empty((y.n, y.p), dtype=complex)
     perturbed = False
     for i in range(y.p):
-        z[:, i], flag = _generalized_shifted_solve(
-            a, b, block.shifts[i], rhs[:, i], eps
+        z[:, i], flag = shifted_solve(
+            a, block.shifts[i], rhs[:, i], eps, pencil_b=b
         )
         perturbed |= flag
     out = orthonormalize(z)
@@ -471,7 +444,8 @@ def pencil_tsgrqi_step(
     W diag(rho) W^{-1} decouples it into columns
     (A_hat - rho_i B_hat) z = B_hat Yr W e_i, and the adjoint system
     decouples the same way under the conjugated shifts with the left
-    eigenvector factor (Gb W)^{-H}.  For B = I and the default
+    eigenvector factor (Gb W)^{-H}, so one LU of A_hat - rho_i B_hat
+    serves both sides.  For B = I and the default
     normalization this reduces to the plain two-sided step.
     """
     coeffs = coeffs or PencilCoefficients()
@@ -510,19 +484,14 @@ def pencil_tsgrqi_step(
     w_left = np.linalg.inv(gram_b @ w).conj().T
     rhs_r = b_hat @ (yr @ w)
     rhs_l = b_hat.conj().T @ (yl @ w_left)
-    a_hat_h = a_hat.conj().T
-    b_hat_h = b_hat.conj().T
     eps = solve_eps(a_hat, cfg.eps_scale)
     z_r = np.empty((n, pair.p), dtype=complex)
     z_l = np.empty((n, pair.p), dtype=complex)
     perturbed = False
     for i in range(pair.p):
-        rho = block.shifts[i]
-        z_r[:, i], flag_r = _generalized_shifted_solve(
-            a_hat, b_hat, rho, rhs_r[:, i], eps
-        )
-        z_l[:, i], flag_l = _generalized_shifted_solve(
-            a_hat_h, b_hat_h, np.conj(rho), rhs_l[:, i], eps
+        z_r[:, i], flag_r, z_l[:, i], flag_l = shifted_solve(
+            a_hat, block.shifts[i], rhs_r[:, i], eps,
+            left=rhs_l[:, i], pencil_b=b_hat,
         )
         perturbed |= flag_r or flag_l
     out = PencilPair(

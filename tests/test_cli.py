@@ -231,6 +231,37 @@ def test_refine_matches_in_memory_iteration(tmp_path):
         assert a.left_err == b.left_err
 
 
+def test_refine_residual_covers_both_sides(tmp_path):
+    paths = write_problem(tmp_path)
+    out = tmp_path / "trace.csv"
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(paths["matrix"]),
+            "--right", str(paths["right"]),
+            "--left", str(paths["left"]),
+            "--out", str(out),
+        ]
+    )
+    assert result.exit_code == 0
+    residuals = [r.residual for r in read_traces(out)[0].records]
+
+    c = read_matrix(paths["matrix"])
+    pair = SubspacePair(
+        left=orthonormalize(read_matrix(paths["left"])),
+        right=orthonormalize(read_matrix(paths["right"])),
+    )
+    expected, left_larger = [], False
+    for _ in residuals:
+        right_res = residual_angle(c, pair.right)
+        left_res = residual_angle(c.conj().T, pair.left)
+        expected.append(max(right_res, left_res))
+        left_larger |= left_res > right_res
+        pair, _ = tsgrqi_step(c, pair, StepConfig())
+    assert residuals == expected  # bitwise through the CSV round trip
+    assert left_larger
+
+
 def test_refine_rerun_reproduces_csv_bytes(tmp_path):
     paths = write_problem(tmp_path)
     out1 = tmp_path / "t1.csv"

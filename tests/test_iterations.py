@@ -28,6 +28,7 @@ from grqi import (
     tsgrqi_step,
     two_sided_rqi_step,
 )
+from grqi.iterations import _check_hermitian
 
 SEED = 2718
 
@@ -135,6 +136,41 @@ def test_grqi_rejects_nonhermitian():
         grqi_step(np.array([[1.0, 1.0], [0.0, 2.0]]), Subspace(np.eye(2)[:, :1]))
 
 
+def spectral_rule_rejects(a):
+    return np.linalg.norm(a - a.conj().T, 2) > 1e-12 * max(
+        1.0, np.linalg.norm(a, 2)
+    )
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.999, 1.001, 2.0])
+@pytest.mark.parametrize("scale", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("rank_two", [False, True])
+def test_hermitian_guard_agrees_with_spectral_rule(factor, scale, rank_two):
+    rng = np.random.default_rng(SEED + int(1000 * factor) + int(scale))
+    n = 40
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = scale * (h + h.conj().T) / np.linalg.norm(h + h.conj().T, 2)
+    if rank_two:
+        k = np.zeros((n, n))
+        k[0, 1], k[1, 0] = 1.0, -1.0
+    else:
+        # Block symplectic form: skew, every singular value 1.
+        k = np.block(
+            [[np.zeros((n // 2, n // 2)), np.eye(n // 2)],
+             [-np.eye(n // 2), np.zeros((n // 2, n // 2))]]
+        )
+    # A - A^H = 2 delta K, so the defect sits at factor times the threshold.
+    delta = factor * 1e-12 * max(1.0, np.linalg.norm(h, 2)) / 2.0
+    a = h + delta * k
+    if spectral_rule_rejects(a):
+        with pytest.raises(NotHermitianError):
+            _check_hermitian(a)
+    else:
+        _check_hermitian(a)
+    if factor in (0.5, 2.0):
+        assert spectral_rule_rejects(a) == (factor > 1.0)
+
+
 # ----------------------------------------------------- two_sided_rqi_step
 
 
@@ -219,6 +255,43 @@ def test_tsgrqi_output_independent_of_basis_choice():
     out2, _ = tsgrqi_step(prob.matrix, repaired)
     assert largest_principal_angle(out1.right, out2.right) <= 1e-9
     assert largest_principal_angle(out1.left, out2.left) <= 1e-9
+
+
+def reference_tsgrqi_step(c, pair):
+    """The two-sided step written out with one dense solve per side."""
+    yl, yr = pair.left.basis, pair.right.basis
+    gram = yl.conj().T @ yr
+    shifts, w = np.linalg.eig(np.linalg.solve(gram, yl.conj().T @ c @ yr))
+    w_left = np.linalg.inv(gram @ w).conj().T
+    eye = np.eye(c.shape[0])
+    z_r = np.column_stack(
+        [np.linalg.solve(c - r * eye, yr @ w[:, i]) for i, r in enumerate(shifts)]
+    )
+    z_l = np.column_stack(
+        [
+            np.linalg.solve(c.conj().T - np.conj(r) * eye, yl @ w_left[:, i])
+            for i, r in enumerate(shifts)
+        ]
+    )
+    return orthonormalize(z_l), orthonormalize(z_r)
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_tsgrqi_matches_per_side_dense_solves(complex_data):
+    rng = trial_rng(SEED + 7)
+    prob = random_diagonalizable(60, 4, rng)
+    c = prob.matrix
+    if complex_data:
+        c = c + 1e-3j * rng.standard_normal(c.shape)
+    pair = SubspacePair(
+        left=subspace_at_angle(prob.oracle_left, 0.05, rng),
+        right=subspace_at_angle(prob.oracle_right, 0.05, rng),
+    )
+    out, diag = tsgrqi_step(c, pair)
+    left, right = reference_tsgrqi_step(c, pair)
+    assert not diag.perturbed
+    assert largest_principal_angle(out.right, right) <= 1e-10
+    assert largest_principal_angle(out.left, left) <= 1e-10
 
 
 def test_tsgrqi_gram_singular_pair():

@@ -9,6 +9,7 @@ from grqi import (
     DimensionMismatchError,
     NearDefectiveError,
     RankDeficientError,
+    SingularPencilShiftError,
     SolveFailedError,
     SpectraOverlapError,
     Subspace,
@@ -22,6 +23,7 @@ from grqi import (
     solve_eps,
     sylvester_solve,
 )
+from grqi.kernels import _lu_solves
 
 SEED = 1234
 
@@ -308,6 +310,93 @@ def test_shifted_solve_residual_when_unperturbed():
         m = c - rho * np.eye(n)
         res = np.linalg.norm(m @ z - b)
         assert res <= 1e-10 * np.linalg.norm(m, 2) * max(1.0, np.linalg.norm(z))
+
+
+def relative_residual(m, z, b):
+    return np.linalg.norm(m @ z - b) / (
+        np.linalg.norm(m, 2) * np.linalg.norm(z) + np.linalg.norm(b)
+    )
+
+
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("pencil", [False, True])
+def test_shifted_solve_shared_factor_left_matches_adjoint_solve(
+    complex_data, pencil
+):
+    rng = np.random.default_rng(SEED + 11)
+    n = 30
+    draw = (
+        (lambda *s: random_complex(rng, *s))
+        if complex_data
+        else (lambda *s: rng.standard_normal(s))
+    )
+    c, b, right, left = draw(n, n), draw(n, n), draw(n), draw(n)
+    rho = 0.4 - 0.3j if complex_data else 0.4
+    bmat = b if pencil else np.eye(n)
+    z, perturbed, z_left, perturbed_left = shifted_solve(
+        c, rho, right, left=left, pencil_b=b if pencil else None
+    )
+    assert not perturbed and not perturbed_left
+    m = c - rho * bmat
+    m_h = c.conj().T - np.conj(rho) * bmat.conj().T
+    ref_left = np.linalg.solve(m_h, left)
+    assert relative_residual(m, z, right) <= 1e-12
+    assert relative_residual(m_h, z_left, left) <= 1e-12
+    assert np.linalg.norm(z_left - ref_left) <= 1e-10 * np.linalg.norm(ref_left)
+
+
+def test_shifted_solve_real_path_matches_forced_complex():
+    rng = np.random.default_rng(SEED + 12)
+    n = 25
+    c = rng.standard_normal((n, n))
+    right, left = rng.standard_normal(n), rng.standard_normal(n)
+    # Complex-typed inputs with zero imaginary parts still take the real path.
+    z, _, z_left, _ = shifted_solve(
+        c.astype(complex), 0.7 + 0j, right.astype(complex), left=left
+    )
+    assert z.dtype == np.float64 and z_left.dtype == np.float64
+    ref, ref_left = _lu_solves(
+        [c], 0.7, [right.astype(complex), left.astype(complex)]
+    )
+    assert ref.dtype == np.complex128
+    assert np.linalg.norm(z - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(z_left - ref_left) <= 1e-12 * np.linalg.norm(ref_left)
+
+
+@pytest.mark.parametrize("pencil", [False, True])
+def test_shifted_solve_exact_eigenvalue_flags_each_side(pencil):
+    # rho = 2 is an exact eigenvalue of C (or of the pencil (A, B)).
+    c = np.diag([1.0, 2.0, 4.0]) if not pencil else np.diag([1.0, 4.0, 4.0])
+    b = None if not pencil else np.diag([1.0, 2.0, 1.0])
+    e = np.eye(3)
+    z, perturbed = shifted_solve(c, 2.0, e[:, 1] + e[:, 0], pencil_b=b)
+    assert perturbed
+    assert hermitian_angle(z, e[:, 1]) <= 1e-8
+    z, perturbed, z_left, perturbed_left = shifted_solve(
+        c, 2.0, e[:, 1], left=e[:, 1] + e[:, 2], pencil_b=b
+    )
+    assert perturbed and perturbed_left
+    assert hermitian_angle(z_left, e[:, 1]) <= 1e-8
+    # A shift away from the spectrum perturbs neither side.
+    _, perturbed, _, perturbed_left = shifted_solve(
+        c, 3.0, e[:, 1], left=e[:, 2], pencil_b=b
+    )
+    assert not perturbed and not perturbed_left
+    error = SingularPencilShiftError if pencil else SolveFailedError
+    with pytest.raises(error):
+        shifted_solve(c, 2.0, e[:, 1], 0.0, pencil_b=b)
+
+
+def test_shifted_solve_perturbs_only_the_nonfinite_side():
+    # The factors are nonsingular, but the right solution overflows while
+    # the left one stays finite: only the right side is re-solved.
+    c = np.diag([1.0, 1e-300])
+    z, perturbed, z_left, perturbed_left = shifted_solve(
+        c, 0.0, np.array([0.0, 1e10]), left=np.array([1.0, 0.0])
+    )
+    assert perturbed and not perturbed_left
+    assert np.all(np.isfinite(z))
+    assert np.array_equal(z_left, [1.0, 0.0])
 
 
 def test_solve_eps_formula():
