@@ -51,7 +51,6 @@ from .structured import (
     j_matrix,
     one_sided_step,
     pencil_tsgrqi_step,
-    skew_hamiltonian_step,
 )
 from .testgen import (
     eigenspace_pair_oracle,
@@ -221,12 +220,8 @@ def refine(
                 step = lambda y: one_sided_step(
                     c, e, y, scfg, full_output=True
                 )
-            elif structure == "hamiltonian":
+            elif structure in ("hamiltonian", "skew-hamiltonian"):
                 step = lambda y: hamiltonian_step(
-                    c, y, scfg, full_output=True
-                )
-            elif structure == "skew-hamiltonian":
-                step = lambda y: skew_hamiltonian_step(
                     c, y, scfg, full_output=True
                 )
             elif structure == "generalized":

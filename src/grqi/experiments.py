@@ -26,14 +26,13 @@ import numpy as np
 from .errors import GrqiError, MissingOracleError, ParseError
 from .iterations import (
     FAILURE,
-    MAX_ITERS,
     IterationRecord,
     IterationTrace,
-    StepDiagnostics,
     SubspacePair,
+    _run_steps,
     tsgrqi_step,
 )
-from .kernels import largest_principal_angle, orthonormalize, residual_angle
+from .kernels import Subspace, orthonormalize, residual_angle
 from .structured import (
     apply_j,
     full_eigenspace_targets,
@@ -61,7 +60,7 @@ __all__ = [
     "format_table",
 ]
 
-_EXPERIMENTS = ("table1", "hamiltonian", "refine", "custom")
+_EXPERIMENTS = ("table1", "hamiltonian")
 _LOG_FLOOR = 1e-300
 _HAMILTONIAN_ITERS = 10
 _SUCCESS_TOL = 1e-12
@@ -205,71 +204,48 @@ def _table1_trial(args) -> IterationTrace:
         left=nearby_subspace(prob.oracle_left, delta, rng),
         right=nearby_subspace(prob.oracle_right, delta, rng),
     )
-    trace = IterationTrace(status=MAX_ITERS)
-    diag = StepDiagnostics()
-    for k in range(steps + 1):
-        left_err = largest_principal_angle(pair.left, prob.oracle_left)
-        right_err = largest_principal_angle(pair.right, prob.oracle_right)
-        trace.records.append(
-            IterationRecord(
-                index=k,
-                right_err=right_err,
-                left_err=left_err,
-                err_sum=left_err + right_err,
-                residual=residual_angle(prob.matrix, pair.right),
-                perturbed=diag.perturbed,
-                shift_cond=diag.shift_cond,
-            )
-        )
-        if k == steps:
-            break
-        try:
-            pair, diag = tsgrqi_step(prob.matrix, pair)
-        except GrqiError as exc:
-            trace.status = FAILURE
-            trace.failure_reason = f"{type(exc).__name__}: {exc}"
-            break
-    return trace
+    return _run_steps(
+        lambda s: tsgrqi_step(prob.matrix, s),
+        pair,
+        steps,
+        residual=lambda s: residual_angle(prob.matrix, s.right),
+        oracle=SubspacePair(left=prob.oracle_left, right=prob.oracle_right),
+    )
+
+
+def _j_pair(y: Subspace) -> SubspacePair:
+    """The one-sided iterate with its structure-implied left side."""
+    return SubspacePair(left=orthonormalize(apply_j(y.basis)), right=y)
 
 
 def _hamiltonian_trial(args) -> tuple[IterationTrace, int]:
     seed, trial, n, delta, steps = args
     rng = trial_rng(seed, trial)
     c = random_hamiltonian(n, rng)
-    trace = IterationTrace(status=MAX_ITERS)
     try:
         target = full_eigenspace_targets(
             c, j_matrix(n), conjugate_closed=True
         )[0]
     except GrqiError as exc:
-        trace.status = FAILURE
-        trace.failure_reason = f"{type(exc).__name__}: {exc}"
-        return trace, 0
-    yr = nearby_subspace(target.right, delta, rng)
-    diag = StepDiagnostics()
-    for k in range(steps + 1):
-        yl = orthonormalize(apply_j(yr.basis))
-        left_err = largest_principal_angle(yl, target.left)
-        right_err = largest_principal_angle(yr, target.right)
-        trace.records.append(
-            IterationRecord(
-                index=k,
-                right_err=right_err,
-                left_err=left_err,
-                err_sum=left_err + right_err,
-                residual=residual_angle(c, yr),
-                perturbed=diag.perturbed,
-                shift_cond=diag.shift_cond,
-            )
+        # One all-NaN iterate keeps the failed trial in the trace file.
+        trace = IterationTrace(
+            records=[IterationRecord(index=0)],
+            status=FAILURE,
+            failure_reason=f"{type(exc).__name__}: {exc}",
         )
-        if k == steps:
-            break
-        try:
-            yr, diag = hamiltonian_step(c, yr, full_output=True)
-        except GrqiError as exc:
-            trace.status = FAILURE
-            trace.failure_reason = f"{type(exc).__name__}: {exc}"
-            break
+        return trace, 0
+
+    def step(pair):
+        y, diag = hamiltonian_step(c, pair.right, full_output=True)
+        return _j_pair(y), diag
+
+    trace = _run_steps(
+        step,
+        _j_pair(nearby_subspace(target.right, delta, rng)),
+        steps,
+        residual=lambda s: residual_angle(c, s.right),
+        oracle=SubspacePair(left=target.left, right=target.right),
+    )
     return trace, target.right.p
 
 
@@ -362,12 +338,17 @@ _CSV_COLUMNS = (
     "perturbed",
     "shift_cond",
     "status",
+    "failure_reason",
 )
 
 
 def write_traces(path: str | os.PathLike, traces: list[IterationTrace]) -> None:
     """Write traces as CSV, one row per iterate, floats in exact
-    round-trip form."""
+    round-trip form.  Every trace needs at least one record, or it could
+    not be read back."""
+    for t, trace in enumerate(traces):
+        if not trace.records:
+            raise ValueError(f"trace {t} has no records to write")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
@@ -384,6 +365,7 @@ def write_traces(path: str | os.PathLike, traces: list[IterationTrace]) -> None:
                         int(rec.perturbed),
                         repr(float(rec.shift_cond)),
                         trace.status,
+                        trace.failure_reason or "",
                     ]
                 )
 
@@ -430,10 +412,11 @@ def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
                         path=path,
                         line=lineno,
                     )
-                traces.append(IterationTrace(status=row[8]))
+                traces.append(IterationTrace())
                 current = trial
             traces[-1].records.append(rec)
             traces[-1].status = row[8]
+            traces[-1].failure_reason = row[9] or None
     return traces
 
 

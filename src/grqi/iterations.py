@@ -179,6 +179,74 @@ def _check_hermitian(a: np.ndarray) -> None:
     )
 
 
+def _solve_columns(a, shifts, rhs, eps, *, left=None, b=None):
+    """Solve (A - shifts[i] B) z = rhs[:, i] for every i (B = I when
+    absent), and the adjoint systems with right-hand sides ``left`` on
+    the same factors; orthonormalize the solutions.
+
+    Returns ``(right, left or None, perturbed)``.
+    """
+    n, p = rhs.shape
+    dtype = np.promote_types(a.dtype, rhs.dtype)
+    z_r = np.empty((n, p), dtype=dtype)
+    z_l = None if left is None else np.empty((n, p), dtype=dtype)
+    perturbed = False
+    for i in range(p):
+        out = shifted_solve(
+            a, shifts[i], rhs[:, i], eps,
+            left=None if left is None else left[:, i], pencil_b=b,
+        )
+        z_r[:, i] = out[0]
+        perturbed |= out[1]
+        if left is not None:
+            z_l[:, i] = out[2]
+            perturbed |= out[3]
+    left_out = None if left is None else orthonormalize(z_l)
+    return orthonormalize(z_r), left_out, perturbed
+
+
+def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
+    """The block Rayleigh quotient step behind every non-Hermitian block
+    step, on orthonormal bases ``yl``, ``yr`` (arrays).
+
+    With B and the operator E taken as the identity when absent, the
+    quotient G^{-1} Yl^H E(A Yr), G = Yl^H E(B Yr), is diagonalized as
+    W diag(rho) W^{-1}.  The right update solves
+    (A - rho_i B) z = (B Yr) W e_i; a two-sided step also solves the
+    adjoint system (A - rho_i B)^H z = B^H Yl (G W)^{-H} e_i from the
+    same LU.  Returns ``(right, left or None, StepDiagnostics)``.
+    """
+    yl_h = yl.conj().T
+    byr = yr if b is None else b @ yr
+    gram = yl_h @ (byr if e is None else e(byr))
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv[-1] <= _GRAM_TOL * max(1.0, sv[0]):
+        raise GramSingularError(
+            f"cross Gram matrix Yl^H E(B Yr) is numerically singular "
+            f"(sigma_min = {sv[-1]:.3e})"
+        )
+    ayr = a @ yr
+    quotient = np.linalg.solve(gram, yl_h @ (ayr if e is None else e(ayr)))
+    block = small_eig(
+        quotient,
+        strict=cfg.strict_defective,
+        cond_limit=cfg.defective_cond_limit,
+    )
+    w = block.eigvecs
+    rhs_l = None
+    if two_sided:
+        rhs_l = yl @ np.linalg.inv(gram @ w).conj().T
+        if b is not None:
+            rhs_l = b.conj().T @ rhs_l
+    eps = solve_eps(a, cfg.eps_scale)
+    right, left, perturbed = _solve_columns(
+        a, block.shifts, byr @ w, eps, left=rhs_l, b=b
+    )
+    return right, left, StepDiagnostics(
+        perturbed=perturbed, shift_cond=block.cond
+    )
+
+
 def rqi_step(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
     """One Rayleigh quotient iteration step for a Hermitian matrix.
 
@@ -236,14 +304,8 @@ def grqi_step(
     rayleigh = y.basis.conj().T @ (a @ y.basis)
     rayleigh = (rayleigh + rayleigh.conj().T) / 2.0
     shifts, w = np.linalg.eigh(rayleigh)
-    rhs = y.basis @ w
     eps = solve_eps(a, cfg.eps_scale)
-    cols = np.empty((y.n, y.p), dtype=np.promote_types(a.dtype, rhs.dtype))
-    perturbed = False
-    for i in range(y.p):
-        cols[:, i], flag = shifted_solve(a, shifts[i], rhs[:, i], eps)
-        perturbed |= flag
-    out = orthonormalize(cols)
+    out, _, perturbed = _solve_columns(a, shifts, y.basis @ w, eps)
     if full_output:
         return out, StepDiagnostics(perturbed=perturbed, shift_cond=1.0)
     return out
@@ -322,36 +384,10 @@ def tsgrqi_step(
         raise DimensionMismatchError(
             f"matrix is {c.shape}, expected {(pair.n, pair.n)}"
         )
-    yl = pair.left.basis
-    yr = pair.right.basis
-    gram = yl.conj().T @ yr
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= _GRAM_TOL:
-        raise GramSingularError(
-            f"cross Gram matrix is numerically singular "
-            f"(sigma_min = {sv[-1]:.3e})"
-        )
-    quotient = np.linalg.solve(gram, yl.conj().T @ (c @ yr))
-    block = small_eig(
-        quotient,
-        strict=cfg.strict_defective,
-        cond_limit=cfg.defective_cond_limit,
+    right, left, diag = _rayleigh_step(
+        c, pair.left.basis, pair.right.basis, cfg, two_sided=True
     )
-    w_r = block.eigvecs
-    w_l_inv_h = np.linalg.inv(gram @ w_r).conj().T
-    rhs_r = yr @ w_r
-    rhs_l = yl @ w_l_inv_h
-    eps = solve_eps(c, cfg.eps_scale)
-    z_r = np.empty((pair.n, pair.p), dtype=complex)
-    z_l = np.empty((pair.n, pair.p), dtype=complex)
-    perturbed = False
-    for i in range(pair.p):
-        z_r[:, i], flag_r, z_l[:, i], flag_l = shifted_solve(
-            c, block.shifts[i], rhs_r[:, i], eps, left=rhs_l[:, i]
-        )
-        perturbed |= flag_r or flag_l
-    out = SubspacePair(left=orthonormalize(z_l), right=orthonormalize(z_r))
-    return out, StepDiagnostics(perturbed=perturbed, shift_cond=block.cond)
+    return SubspacePair(left=left, right=right), diag
 
 
 def newton_chatelin_step(
@@ -425,6 +461,37 @@ def _oracle_record(state, oracle, index, residual, diag) -> IterationRecord:
     )
 
 
+def _run_steps(
+    step, state, steps, residual=None, oracle=None, angle_tol=None
+) -> IterationTrace:
+    """Record ``state`` and the iterates of at most ``steps`` steps, as
+    :func:`iterate` describes; without ``angle_tol`` every step is taken,
+    even past convergence."""
+    trace = IterationTrace()
+    prev, diag = None, StepDiagnostics()
+    for k in range(steps + 1):
+        res = float(residual(state)) if residual is not None else float("nan")
+        trace.records.append(_oracle_record(state, oracle, k, res, diag))
+        if (
+            angle_tol is not None
+            and prev is not None
+            and _state_angle(prev, state) <= angle_tol
+            and (np.isnan(res) or res <= angle_tol)
+        ):
+            trace.status = CONVERGED
+            break
+        if k == steps:
+            break
+        try:
+            nxt, diag = step(state)
+        except GrqiError as exc:
+            trace.status = FAILURE
+            trace.failure_reason = f"{type(exc).__name__}: {exc}"
+            break
+        prev, state = state, nxt
+    return trace
+
+
 def iterate(
     step,
     start,
@@ -447,28 +514,6 @@ def iterate(
     status, never raised.
     """
     cfg = cfg or StepConfig()
-
-    def _residual(state) -> float:
-        return float(residual(state)) if residual is not None else float("nan")
-
-    trace = IterationTrace()
-    state = start
-    trace.records.append(
-        _oracle_record(state, oracle, 0, _residual(state), StepDiagnostics())
+    return _run_steps(
+        step, start, cfg.max_iters, residual, oracle, cfg.angle_tol
     )
-    for k in range(1, cfg.max_iters + 1):
-        try:
-            nxt, diag = step(state)
-        except GrqiError as exc:
-            trace.status = FAILURE
-            trace.failure_reason = f"{type(exc).__name__}: {exc}"
-            return trace
-        res = _residual(nxt)
-        trace.records.append(_oracle_record(nxt, oracle, k, res, diag))
-        move = _state_angle(state, nxt)
-        state = nxt
-        if move <= cfg.angle_tol and (np.isnan(res) or res <= cfg.angle_tol):
-            trace.status = CONVERGED
-            return trace
-    trace.status = MAX_ITERS
-    return trace

@@ -20,18 +20,11 @@ import numpy as np
 from .errors import (
     DegeneratePencilError,
     DimensionMismatchError,
-    GramSingularError,
     NearDefectiveError,
     OddDimensionError,
 )
-from .iterations import StepConfig, StepDiagnostics
-from .kernels import (
-    Subspace,
-    orthonormalize,
-    shifted_solve,
-    small_eig,
-    solve_eps,
-)
+from .iterations import StepConfig, StepDiagnostics, _rayleigh_step
+from .kernels import Subspace, orthonormalize
 from .testgen import group_mirror_eigenvalues
 
 __all__ = [
@@ -58,7 +51,6 @@ __all__ = [
 ]
 
 _STRUCT_RTOL = 1e-10
-_GRAM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -260,33 +252,10 @@ def one_sided_step(
         raise DimensionMismatchError(
             f"matrix is {c.shape}, expected {(y.n, y.n)}"
         )
-    apply_e = _as_operator(e)
-    ey = apply_e(y.basis)
-    gram = y.basis.conj().T @ ey
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= _GRAM_TOL * max(1.0, sv[0]):
-        raise GramSingularError(
-            f"Y^H E Y is numerically singular (sigma_min = {sv[-1]:.3e})"
-        )
-    quotient = np.linalg.solve(gram, y.basis.conj().T @ apply_e(c @ y.basis))
-    block = small_eig(
-        quotient,
-        strict=cfg.strict_defective,
-        cond_limit=cfg.defective_cond_limit,
+    out, _, diag = _rayleigh_step(
+        c, y.basis, y.basis, cfg, e=_as_operator(e)
     )
-    rhs = y.basis @ block.eigvecs
-    eps = solve_eps(c, cfg.eps_scale)
-    z = np.empty((y.n, y.p), dtype=complex)
-    perturbed = False
-    for i in range(y.p):
-        z[:, i], flag = shifted_solve(c, block.shifts[i], rhs[:, i], eps)
-        perturbed |= flag
-    out = orthonormalize(z)
-    if full_output:
-        return out, StepDiagnostics(
-            perturbed=perturbed, shift_cond=block.cond
-        )
-    return out
+    return (out, diag) if full_output else out
 
 
 def hamiltonian_step(
@@ -296,21 +265,15 @@ def hamiltonian_step(
     *,
     full_output: bool = False,
 ):
-    """One-sided step for (C J)^H = C J matrices, with J applied
-    implicitly.  The matching left subspace is span(J Y)."""
+    """One-sided step for (C J)^H = +/-(C J) matrices, with J applied
+    implicitly: :func:`one_sided_step` with E = J, whose matching left
+    subspace is span(J Y).  Hamiltonian and skew-Hamiltonian matrices
+    take the same step, so :func:`skew_hamiltonian_step` is this
+    function."""
     return one_sided_step(c, apply_j, y, cfg, full_output=full_output)
 
 
-def skew_hamiltonian_step(
-    c: np.ndarray,
-    y: Subspace,
-    cfg: StepConfig | None = None,
-    *,
-    full_output: bool = False,
-):
-    """One-sided step for (C J)^H = -(C J) matrices; identical to
-    :func:`one_sided_step` with E = J."""
-    return one_sided_step(c, apply_j, y, cfg, full_output=full_output)
+skew_hamiltonian_step = hamiltonian_step
 
 
 def generalized_hermitian_step(
@@ -335,34 +298,8 @@ def generalized_hermitian_step(
             f"matrices are {a.shape} and {b.shape}, expected "
             f"{(y.n, y.n)}"
         )
-    by = b @ y.basis
-    gram = y.basis.conj().T @ by
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= _GRAM_TOL * max(1.0, sv[0]):
-        raise GramSingularError(
-            f"Y^H B Y is numerically singular (sigma_min = {sv[-1]:.3e})"
-        )
-    quotient = np.linalg.solve(gram, y.basis.conj().T @ (a @ y.basis))
-    block = small_eig(
-        quotient,
-        strict=cfg.strict_defective,
-        cond_limit=cfg.defective_cond_limit,
-    )
-    rhs = by @ block.eigvecs
-    eps = solve_eps(a, cfg.eps_scale)
-    z = np.empty((y.n, y.p), dtype=complex)
-    perturbed = False
-    for i in range(y.p):
-        z[:, i], flag = shifted_solve(
-            a, block.shifts[i], rhs[:, i], eps, pencil_b=b
-        )
-        perturbed |= flag
-    out = orthonormalize(z)
-    if full_output:
-        return out, StepDiagnostics(
-            perturbed=perturbed, shift_cond=block.cond
-        )
-    return out
+    out, _, diag = _rayleigh_step(a, y.basis, y.basis, cfg, b=b)
+    return (out, diag) if full_output else out
 
 
 class TargetGroup(NamedTuple):
@@ -464,40 +401,11 @@ def pencil_tsgrqi_step(
             "normalized B_hat is numerically singular; pick a different "
             "(alpha, beta)"
         )
-    yl = pair.hatted_left.basis
-    yr = pair.right.basis
-    gram_b = yl.conj().T @ (b_hat @ yr)
-    sv = np.linalg.svd(gram_b, compute_uv=False)
-    if sv[-1] <= _GRAM_TOL * max(1.0, sv[0]):
-        raise GramSingularError(
-            f"Yl^H B_hat Yr is numerically singular "
-            f"(sigma_min = {sv[-1]:.3e})"
-        )
-    gram_a = yl.conj().T @ (a_hat @ yr)
-    quotient = np.linalg.solve(gram_b, gram_a)
-    block = small_eig(
-        quotient,
-        strict=cfg.strict_defective,
-        cond_limit=cfg.defective_cond_limit,
+    right, left, diag = _rayleigh_step(
+        a_hat, pair.hatted_left.basis, pair.right.basis, cfg,
+        b=b_hat, two_sided=True,
     )
-    w = block.eigvecs
-    w_left = np.linalg.inv(gram_b @ w).conj().T
-    rhs_r = b_hat @ (yr @ w)
-    rhs_l = b_hat.conj().T @ (yl @ w_left)
-    eps = solve_eps(a_hat, cfg.eps_scale)
-    z_r = np.empty((n, pair.p), dtype=complex)
-    z_l = np.empty((n, pair.p), dtype=complex)
-    perturbed = False
-    for i in range(pair.p):
-        z_r[:, i], flag_r, z_l[:, i], flag_l = shifted_solve(
-            a_hat, block.shifts[i], rhs_r[:, i], eps,
-            left=rhs_l[:, i], pencil_b=b_hat,
-        )
-        perturbed |= flag_r or flag_l
-    out = PencilPair(
-        hatted_left=orthonormalize(z_l), right=orthonormalize(z_r)
-    )
-    return out, StepDiagnostics(perturbed=perturbed, shift_cond=block.cond)
+    return PencilPair(hatted_left=left, right=right), diag
 
 
 def choose_pencil_normalization(

@@ -10,6 +10,7 @@ from grqi import (
     IterationRecord,
     IterationTrace,
     MissingOracleError,
+    NearDefectiveError,
     format_table,
     hamiltonian_success,
     read_traces,
@@ -70,6 +71,8 @@ def test_config_defaults_are_valid():
         {"workers": 0},
         {"max_iters": 0},
         {"seed": -1},
+        {"experiment": "refine"},
+        {"experiment": "custom"},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -200,23 +203,34 @@ def test_table1_workers_do_not_change_results(table1_small):
 
 def test_table1_csv_roundtrip(tmp_path, table1_small):
     cfg, (summary, traces) = table1_small
+    failed = IterationTrace(
+        records=[IterationRecord(index=0)],
+        status=FAILURE,
+        failure_reason="GramSingularError: singular, \"quoted\" reason",
+    )
     path = tmp_path / "traces.csv"
-    write_traces(path, traces)
+    write_traces(path, traces + [failed])
     back = read_traces(path)
-    assert len(back) == len(traces)
-    for a, b in zip(traces, back):
+    assert len(back) == len(traces) + 1
+    for a, b in zip(traces + [failed], back):
         assert a.status == b.status
         assert a.failure_reason == b.failure_reason
         for ra, rb in zip(a.records, b.records):
             assert records_match(ra, rb)  # repr round-trip keeps floats bitwise
+    assert back[-1].failure_reason == failed.failure_reason
     s2 = summarize(
-        back,
+        back[:-1],
         experiment=summary.experiment,
         n=summary.n,
         p=summary.p,
         seed=summary.seed,
     )
     assert summary_json(s2) == summary_json(summary)
+
+
+def test_write_traces_rejects_trace_without_records(tmp_path):
+    with pytest.raises(ValueError):
+        write_traces(tmp_path / "t.csv", [synthetic_trace([0.1]), IterationTrace()])
 
 
 # --------------------------------------------------------- run_hamiltonian
@@ -264,6 +278,29 @@ def test_hamiltonian_workers_determinism():
     s1, _ = run_hamiltonian(cfg1)
     s2, _ = run_hamiltonian(cfg2)
     assert summary_json(s1) == summary_json(s2)
+
+
+def test_hamiltonian_target_failure_is_recorded(tmp_path, monkeypatch):
+    import grqi.experiments
+
+    def refuse(*args, **kwargs):
+        raise NearDefectiveError("grouping would be unreliable")
+
+    monkeypatch.setattr(grqi.experiments, "full_eigenspace_targets", refuse)
+    cfg = ExperimentConfig(experiment="hamiltonian", n=8, p=2, trials=3)
+    summary, traces = run_hamiltonian(cfg)
+    assert summary.failures == 3
+    assert summary.success_count == 0
+    path = tmp_path / "h.csv"
+    write_traces(path, traces)
+    back = read_traces(path)
+    assert len(back) == 3
+    for trace in back:
+        assert trace.status == FAILURE
+        assert trace.failure_reason == (
+            "NearDefectiveError: grouping would be unreliable"
+        )
+        assert trace.iterates == 1
 
 
 # ------------------------------------------------------------- serialization

@@ -310,6 +310,27 @@ def test_generalized_step_gram_singular():
         generalized_hermitian_step(a, b, y)
 
 
+def test_generalized_step_equals_one_sided_on_b_inverse_a():
+    # E = B applied to B^{-1} A, as the docstring states.
+    rng = trial_rng(SEED + 18)
+    n, p = 12, 3
+    a = rng.standard_normal((n, n))
+    a = (a + a.T) / 2.0
+    m = rng.standard_normal((n, n))
+    b = m @ m.T + n * np.eye(n)
+    _, right, _ = eigenspace_pair_oracle(
+        np.linalg.solve(b, a), select_top_modulus(p)
+    )
+    y = subspace_at_angle(right, 0.05, rng)
+    out_gen = generalized_hermitian_step(a, b, y)
+    out_one = one_sided_step(np.linalg.solve(b, a), b, y)
+    assert largest_principal_angle(out_gen, out_one) <= 1e-10
+
+
+def test_skew_hamiltonian_step_is_hamiltonian_step():
+    assert skew_hamiltonian_step is hamiltonian_step
+
+
 # --------------------------------------------------- full_eigenspace_targets
 
 
@@ -453,6 +474,16 @@ def test_pencil_rejects_singular_bhat():
     )
     with pytest.raises(DegeneratePencilError):
         pencil_tsgrqi_step(a, b, pair)  # default coeffs keep Bhat = B
+
+
+def test_pencil_gram_singular():
+    a = np.diag([1.0, 2.0])
+    pair = PencilPair(
+        hatted_left=Subspace(np.eye(2)[:, :1]),
+        right=Subspace(np.eye(2)[:, 1:]),
+    )
+    with pytest.raises(GramSingularError):
+        pencil_tsgrqi_step(a, np.eye(2), pair)
 
 
 def test_choose_normalization_prefers_default():
