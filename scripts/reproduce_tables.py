@@ -41,7 +41,6 @@ def main():
         hcfg = ExperimentConfig(
             experiment="hamiltonian",
             n=20,
-            p=2,
             trials=args.hamiltonian_trials,
             seed=args.seed,
             start_distance=start,

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GrqiError, ParseError, UnsupportedFormatError
 from .experiments import (
     ExperimentConfig,
+    _instance,
     format_table,
     run_hamiltonian,
     run_table1,
@@ -43,24 +44,11 @@ from .structured import (
     HamiltonianJ,
     PencilPair,
     SkewHamiltonianJ,
-    apply_j,
     check_structure,
-    full_eigenspace_targets,
     generalized_hermitian_step,
     hamiltonian_step,
-    j_matrix,
     one_sided_step,
     pencil_tsgrqi_step,
-)
-from .testgen import (
-    eigenspace_pair_oracle,
-    nearby_subspace,
-    random_diagonalizable,
-    random_e_hermitian,
-    random_e_skew_hermitian,
-    random_hamiltonian,
-    select_top_modulus,
-    trial_rng,
 )
 
 _EXIT_CODE = {CONVERGED: 0, MAX_ITERS: 2, FAILURE: 3}
@@ -330,7 +318,6 @@ def experiment_hamiltonian(
         cfg = ExperimentConfig(
             experiment="hamiltonian",
             n=n,
-            p=min(2, n - 1),
             trials=10**6 if full else trials,
             seed=seed,
             start_distance=start_distance,
@@ -365,7 +352,7 @@ _GEN_KINDS = (
 @cli.command()
 @click.option("--kind", type=click.Choice(_GEN_KINDS), default="diagonalizable", show_default=True)
 @click.option("--n", default=20, show_default=True)
-@click.option("--p", default=5, show_default=True, help="subspace dimension (diagonalizable only; structured kinds target a full eigenvalue group)")
+@click.option("--p", default=5, show_default=True, help="subspace dimension for diagonalizable, number of largest-modulus eigenvalues for e-hermitian (hamiltonian and e-skew-hermitian target a full eigenvalue group and ignore it)")
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trial", default=0, show_default=True, help="trial stream index within the seed")
 @click.option("--start-distance", default=0.1, show_default=True)
@@ -375,62 +362,31 @@ def gen(kind, n, p, seed, trial, start_distance, out):
 
     Writes matrix.mtx, oracle_left.mtx, oracle_right.mtx, start_left.mtx,
     start_right.mtx (and e.mtx for the e-* kinds) so the run can be
-    reproduced through ``refine``.
+    reproduced through ``refine``.  The instance is drawn by the code the
+    studies use: ``--seed s --trial t`` gives trial t of the table1
+    (diagonalizable) or Hamiltonian study with seed s.
     """
     os.makedirs(out, exist_ok=True)
     try:
-        rng = trial_rng(seed, trial)
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    e = None
-    try:
-        if kind == "diagonalizable":
-            prob = random_diagonalizable(n, p, rng)
-            c = prob.matrix
-            oracle_left, oracle_right = prob.oracle_left, prob.oracle_right
-            start_left = nearby_subspace(oracle_left, start_distance, rng)
-            start_right = nearby_subspace(oracle_right, start_distance, rng)
-        elif kind == "e-hermitian":
-            # Real spectrum: no mirror pairing, target the top-modulus group.
-            c, e = random_e_hermitian(n, rng)
-            oracle_left, oracle_right, _ = eigenspace_pair_oracle(
-                c, select_top_modulus(p)
-            )
-            start_right = nearby_subspace(oracle_right, start_distance, rng)
-            start_left = orthonormalize(e @ start_right.basis)
-        else:
-            if kind == "hamiltonian":
-                c = random_hamiltonian(n, rng)
-                e = j_matrix(n)
-                conjugate_closed = True
-            else:
-                c, e = random_e_skew_hermitian(n, rng)
-                conjugate_closed = False
-            target = full_eigenspace_targets(
-                c, e, conjugate_closed=conjugate_closed
-            )[0]
-            oracle_left, oracle_right = target.left, target.right
-            start_right = nearby_subspace(oracle_right, start_distance, rng)
-            if kind == "hamiltonian":
-                start_left = orthonormalize(apply_j(start_right.basis))
-            else:
-                start_left = orthonormalize(e @ start_right.basis)
+        c, e, oracle, start = _instance(
+            kind, n, p, seed, trial, start_distance
+        )
     except (GrqiError, ValueError) as exc:
         _fail_usage(str(exc))
 
     files = {
         "matrix.mtx": c,
-        "oracle_left.mtx": oracle_left.basis,
-        "oracle_right.mtx": oracle_right.basis,
-        "start_left.mtx": start_left.basis,
-        "start_right.mtx": start_right.basis,
+        "oracle_left.mtx": oracle.left.basis,
+        "oracle_right.mtx": oracle.right.basis,
+        "start_left.mtx": start.left.basis,
+        "start_right.mtx": start.right.basis,
     }
-    if kind != "diagonalizable" and kind != "hamiltonian":
+    if e is not None:
         files["e.mtx"] = e
     for name, value in files.items():
         write_matrix(os.path.join(out, name), value)
         click.echo(f"wrote {os.path.join(out, name)}")
-    click.echo(f"target subspace dimension: {oracle_right.p}")
+    click.echo(f"target subspace dimension: {oracle.right.p}")
 
 
 def main():

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,9 +41,13 @@ from .structured import (
     j_matrix,
 )
 from .testgen import (
+    eigenspace_pair_oracle,
     nearby_subspace,
     random_diagonalizable,
+    random_e_hermitian,
+    random_e_skew_hermitian,
     random_hamiltonian,
+    select_top_modulus,
     trial_rng,
 )
 
@@ -72,7 +77,9 @@ class ExperimentConfig:
 
     ``start_distance`` bounds the angle between each starting subspace and
     its oracle; both sides are drawn independently, so the summed starting
-    error is below twice this bound.
+    error is below twice this bound.  ``p`` is the block size of the
+    table1 study; the Hamiltonian study picks its own per trial and
+    ignores it.
     """
 
     experiment: str = "table1"
@@ -82,7 +89,6 @@ class ExperimentConfig:
     seed: int = 0
     start_distance: float = 0.1
     max_iters: int = 5
-    structure: str | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -98,7 +104,7 @@ class ExperimentConfig:
                 f"start_distance must lie in (0, pi/2), "
                 f"got {self.start_distance}"
             )
-        if not (self.n > self.p >= 1):
+        if self.experiment == "table1" and not (self.n > self.p >= 1):
             raise ValueError(f"need n > p >= 1, got n={self.n}, p={self.p}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -196,57 +202,69 @@ def summarize(
     )
 
 
-def _table1_trial(args) -> IterationTrace:
-    seed, trial, n, p, delta, steps = args
+_STUDY_KINDS = {"table1": "diagonalizable", "hamiltonian": "hamiltonian"}
+
+
+def _e_pair(y: Subspace, e: np.ndarray | None = None) -> SubspacePair:
+    """The one-sided iterate with its structure-implied left side
+    span(E Y), where E is J when ``e`` is None."""
+    left = apply_j(y.basis) if e is None else e @ y.basis
+    return SubspacePair(left=orthonormalize(left), right=y)
+
+
+def _instance(kind, n, p, seed, trial, delta):
+    """Trial ``trial`` of seed ``seed`` as (C, E, oracle pair, start pair).
+
+    ``grqi gen`` and both studies draw through here.  E is None for
+    ``diagonalizable`` and for ``hamiltonian`` (J is implied); the
+    structured kinds perturb the right oracle and start from span(E Y).
+    """
     rng = trial_rng(seed, trial)
-    prob = random_diagonalizable(n, p, rng)
-    pair = SubspacePair(
-        left=nearby_subspace(prob.oracle_left, delta, rng),
-        right=nearby_subspace(prob.oracle_right, delta, rng),
-    )
-    return _run_steps(
-        lambda s: tsgrqi_step(prob.matrix, s),
-        pair,
-        steps,
-        residual=lambda s: residual_angle(prob.matrix, s.right),
-        oracle=SubspacePair(left=prob.oracle_left, right=prob.oracle_right),
-    )
-
-
-def _j_pair(y: Subspace) -> SubspacePair:
-    """The one-sided iterate with its structure-implied left side."""
-    return SubspacePair(left=orthonormalize(apply_j(y.basis)), right=y)
-
-
-def _hamiltonian_trial(args) -> tuple[IterationTrace, int]:
-    seed, trial, n, delta, steps = args
-    rng = trial_rng(seed, trial)
-    c = random_hamiltonian(n, rng)
-    try:
+    if kind == "diagonalizable":
+        prob = random_diagonalizable(n, p, rng)
+        oracle = SubspacePair(left=prob.oracle_left, right=prob.oracle_right)
+        start = SubspacePair(
+            left=nearby_subspace(oracle.left, delta, rng),
+            right=nearby_subspace(oracle.right, delta, rng),
+        )
+        return prob.matrix, None, oracle, start
+    if kind == "e-hermitian":
+        c, e = random_e_hermitian(n, rng)
+        # Real spectrum: no mirror pairing, target the top-modulus group.
+        left, right, _ = eigenspace_pair_oracle(c, select_top_modulus(p))
+    else:
+        if kind == "hamiltonian":
+            c, e = random_hamiltonian(n, rng), None
+        else:
+            c, e = random_e_skew_hermitian(n, rng)
         target = full_eigenspace_targets(
-            c, j_matrix(n), conjugate_closed=True
+            c, j_matrix(n) if e is None else e, conjugate_closed=e is None
         )[0]
+        left, right = target.left, target.right
+    start = _e_pair(nearby_subspace(right, delta, rng), e)
+    return c, e, SubspacePair(left=left, right=right), start
+
+
+def _study_trial(args) -> tuple[IterationTrace, int]:
+    """One study trial and its block size (0 when it could not be built)."""
+    experiment, seed, trial, n, p, delta, steps = args
+    try:
+        c, _, oracle, start = _instance(
+            _STUDY_KINDS[experiment], n, p, seed, trial, delta
+        )
     except GrqiError as exc:
         # One all-NaN iterate keeps the failed trial in the trace file.
-        trace = IterationTrace(
-            records=[IterationRecord(index=0)],
-            status=FAILURE,
-            failure_reason=f"{type(exc).__name__}: {exc}",
-        )
-        return trace, 0
+        reason = f"{type(exc).__name__}: {exc}"
+        return IterationTrace([IterationRecord(index=0)], FAILURE, reason), 0
+    if experiment == "table1":
+        step = lambda s: tsgrqi_step(c, s)
+    else:
+        def step(pair):
+            y, diag = hamiltonian_step(c, pair.right, full_output=True)
+            return _e_pair(y), diag
 
-    def step(pair):
-        y, diag = hamiltonian_step(c, pair.right, full_output=True)
-        return _j_pair(y), diag
-
-    trace = _run_steps(
-        step,
-        _j_pair(nearby_subspace(target.right, delta, rng)),
-        steps,
-        residual=lambda s: residual_angle(c, s.right),
-        oracle=SubspacePair(left=target.left, right=target.right),
-    )
-    return trace, target.right.p
+    residual = lambda s: residual_angle(c, s.right)
+    return _run_steps(step, start, steps, residual, oracle), oracle.right.p
 
 
 def _run_batch(worker, args_list, workers: int) -> list:
@@ -255,6 +273,29 @@ def _run_batch(worker, args_list, workers: int) -> list:
     chunk = max(1, len(args_list) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list, chunksize=chunk))
+
+
+def _run_study(
+    experiment: str, cfg: ExperimentConfig, steps: int, success=None
+) -> tuple[ExperimentSummary, list[IterationTrace]]:
+    """Run and summarize a study; the Hamiltonian block size varies per
+    trial, so its summary counts trials per size instead of one ``p``."""
+    t0 = time.perf_counter()
+    args = [
+        (experiment, cfg.seed, t, cfg.n, cfg.p, cfg.start_distance, steps)
+        for t in range(cfg.trials)
+    ]
+    results = _run_batch(_study_trial, args, cfg.workers)
+    traces = [trace for trace, _ in results]
+    fixed_p = experiment == "table1"
+    summary = summarize(
+        traces, experiment=experiment, n=cfg.n, p=cfg.p if fixed_p else None,
+        seed=cfg.seed, success=success, wall_time=time.perf_counter() - t0,
+    )
+    if not fixed_p:
+        sizes = Counter(p for _, p in results if p)
+        summary.p_counts = dict(sorted(sizes.items()))
+    return summary, traces
 
 
 def run_table1(
@@ -267,21 +308,7 @@ def run_table1(
     ``max_iters`` two-sided steps, recording the oracle error at every
     iterate.  Failed trials are tallied in the summary, never raised.
     """
-    t0 = time.perf_counter()
-    args = [
-        (cfg.seed, t, cfg.n, cfg.p, cfg.start_distance, cfg.max_iters)
-        for t in range(cfg.trials)
-    ]
-    traces = _run_batch(_table1_trial, args, cfg.workers)
-    summary = summarize(
-        traces,
-        experiment="table1",
-        n=cfg.n,
-        p=cfg.p,
-        seed=cfg.seed,
-        wall_time=time.perf_counter() - t0,
-    )
-    return summary, traces
+    return _run_study("table1", cfg, cfg.max_iters)
 
 
 def hamiltonian_success(trace: IterationTrace) -> bool:
@@ -302,30 +329,11 @@ def run_hamiltonian(
     the block size is 2 or 4 per trial; the left iterate is recovered from
     the right one through the structure map rather than iterated.
     """
-    if cfg.n % 2:
-        raise ValueError(f"Hamiltonian study needs even n, got {cfg.n}")
-    t0 = time.perf_counter()
-    args = [
-        (cfg.seed, t, cfg.n, cfg.start_distance, _HAMILTONIAN_ITERS)
-        for t in range(cfg.trials)
-    ]
-    results = _run_batch(_hamiltonian_trial, args, cfg.workers)
-    traces = [trace for trace, _ in results]
-    p_counts: dict[int, int] = {}
-    for _, p in results:
-        if p:
-            p_counts[p] = p_counts.get(p, 0) + 1
-    summary = summarize(
-        traces,
-        experiment="hamiltonian",
-        n=cfg.n,
-        p=None,
-        seed=cfg.seed,
-        success=hamiltonian_success,
-        wall_time=time.perf_counter() - t0,
+    if cfg.n < 2 or cfg.n % 2:
+        raise ValueError(f"Hamiltonian study needs even n > 0, got {cfg.n}")
+    return _run_study(
+        "hamiltonian", cfg, _HAMILTONIAN_ITERS, hamiltonian_success
     )
-    summary.p_counts = dict(sorted(p_counts.items()))
-    return summary, traces
 
 
 _CSV_COLUMNS = (

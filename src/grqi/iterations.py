@@ -63,10 +63,12 @@ FAILURE = "failure"
 class StepConfig:
     """Knobs shared by the iteration steps and the driver.
 
-    ``eps_scale`` controls the fallback perturbation of near-singular
-    shifted solves (``eps_scale * u * ||C||_F``).  ``strict_defective``
-    turns the near-defective shift-block warning into a hard error at
-    condition ``defective_cond_limit``.
+    ``max_iters`` and ``angle_tol`` are the step budget and convergence
+    threshold of :func:`iterate`.  ``eps_scale`` controls the fallback
+    perturbation of near-singular shifted solves
+    (``eps_scale * u * ||C||_F``).  ``strict_defective`` turns the
+    near-defective shift-block warning into a hard error at condition
+    ``defective_cond_limit``.
     """
 
     max_iters: int = 50
@@ -74,7 +76,6 @@ class StepConfig:
     eps_scale: float = 1e3
     strict_defective: bool = False
     defective_cond_limit: float = 1e8
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:

@@ -267,8 +267,7 @@ def small_eig(
             vals, w = np.linalg.eig(r)
             w = np.asarray(w, dtype=complex)
             vals = np.asarray(vals, dtype=complex)
-        sv = np.linalg.svd(w, compute_uv=False)
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
+        cond = float(np.linalg.cond(w))
     if strict and cond > cond_limit:
         raise NearDefectiveError(
             f"eigenvector basis of the shift block has condition {cond:.3e} "

@@ -20,12 +20,11 @@ import numpy as np
 from .errors import (
     DegeneratePencilError,
     DimensionMismatchError,
-    NearDefectiveError,
     OddDimensionError,
 )
 from .iterations import StepConfig, StepDiagnostics, _rayleigh_step
 from .kernels import Subspace, orthonormalize
-from .testgen import group_mirror_eigenvalues
+from .testgen import _checked_eig, group_mirror_eigenvalues
 
 __all__ = [
     "Plain",
@@ -336,19 +335,9 @@ def full_eigenspace_targets(
     descending order of largest absolute real part.
     """
     c = np.asarray(c)
-    n = c.shape[0]
-    if c.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
+    values, s = _checked_eig(c, cond_limit)
     if conjugate_closed is None:
         conjugate_closed = bool(np.isrealobj(c))
-    values, s = np.linalg.eig(c)
-    sv = np.linalg.svd(s, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-    if cond > cond_limit:
-        raise NearDefectiveError(
-            f"eigenvector matrix condition {cond:.3e} exceeds "
-            f"{cond_limit:.1e}; grouping would be unreliable"
-        )
     apply_e = _as_operator(e) if e is not None else None
     tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
     groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
@@ -428,12 +417,8 @@ def choose_pencil_normalization(
     a = np.asarray(a)
     b = np.asarray(b)
 
-    def _cond(m: np.ndarray) -> float:
-        sv = np.linalg.svd(m, compute_uv=False)
-        return float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-
     default = PencilCoefficients()
-    if _cond(default.transform(a, b)[1]) < cond_limit:
+    if np.linalg.cond(default.transform(a, b)[1]) < cond_limit:
         return default
     rng = rng or np.random.default_rng(0)
     for _ in range(tries):
@@ -442,7 +427,7 @@ def choose_pencil_normalization(
         coeffs = PencilCoefficients(
             alpha=alpha, beta=beta, gamma=-beta, delta=alpha
         )
-        if _cond(coeffs.transform(a, b)[1]) < cond_limit:
+        if np.linalg.cond(coeffs.transform(a, b)[1]) < cond_limit:
             return coeffs
     raise DegeneratePencilError(
         f"no normalization with cond(B_hat) < {cond_limit:.1e} found in "

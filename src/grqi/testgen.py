@@ -118,18 +118,24 @@ def random_hamiltonian(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.block([[f, g + g.T], [k + k.T, -f.T]])
 
 
+def _random_e_pair(n: int, rng: np.random.Generator, sign: float):
+    """(C, E) as C = E^{-1} M with E Hermitian positive definite and
+    M = sign * M^H, so that E C = sign * C^H E."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    e = a @ a.conj().T + n * np.eye(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = (m + sign * m.conj().T) / 2.0
+    c = np.linalg.solve(e, m)
+    return c, e
+
+
 def random_e_hermitian(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random pair (C, E) with E Hermitian positive definite and
     E C = C^H E.  Built as C = E^{-1} M with M Hermitian."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    e = a @ a.conj().T + n * np.eye(n)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = (m + m.conj().T) / 2.0
-    c = np.linalg.solve(e, m)
-    return c, e
+    return _random_e_pair(n, rng, 1.0)
 
 
 def random_e_skew_hermitian(
@@ -138,12 +144,7 @@ def random_e_skew_hermitian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random pair (C, E) with E Hermitian positive definite and
     E C = -C^H E.  Built as C = E^{-1} M with M skew-Hermitian."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    e = a @ a.conj().T + n * np.eye(n)
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = (m - m.conj().T) / 2.0
-    c = np.linalg.solve(e, m)
-    return c, e
+    return _random_e_pair(n, rng, -1.0)
 
 
 def complement_basis(v: Subspace) -> np.ndarray:
@@ -295,6 +296,22 @@ def select_full_group_max_real(tol: float, conjugate_closed: bool = True):
     return _select
 
 
+def _checked_eig(c: np.ndarray, cond_limit: float):
+    """Eigenvalues and eigenvector matrix of the square matrix ``c``;
+    :class:`~grqi.errors.NearDefectiveError` when the eigenvector matrix
+    condition exceeds ``cond_limit``."""
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
+    values, s = np.linalg.eig(c)
+    cond = float(np.linalg.cond(s))
+    if cond > cond_limit:
+        raise NearDefectiveError(
+            f"eigenvector matrix condition {cond:.3e} exceeds "
+            f"{cond_limit:.1e}"
+        )
+    return values, s
+
+
 def eigenspace_pair_oracle(
     c: np.ndarray,
     selector,
@@ -311,17 +328,8 @@ def eigenspace_pair_oracle(
     separated from the remaining spectrum.
     """
     c = np.asarray(c)
+    values, s = _checked_eig(c, cond_limit)
     n = c.shape[0]
-    if c.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
-    values, s = np.linalg.eig(c)
-    sv = np.linalg.svd(s, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else float("inf")
-    if cond > cond_limit:
-        raise NearDefectiveError(
-            f"eigenvector matrix condition {cond:.3e} exceeds "
-            f"{cond_limit:.1e}"
-        )
     idx = np.asarray(selector(values), dtype=int)
     if idx.size == 0 or idx.size > n:
         raise NotSpectralError(f"selector returned {idx.size} indices")

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from grqi import (
+    ExperimentConfig,
     StepConfig,
     Subspace,
     SubspacePair,
@@ -16,6 +17,8 @@ from grqi import (
     read_matrix,
     read_traces,
     residual_angle,
+    run_hamiltonian,
+    run_table1,
     trial_rng,
     tsgrqi_step,
     write_matrix,
@@ -352,6 +355,73 @@ def test_gen_hamiltonian_then_one_sided_refine(tmp_path):
         ]
     )
     assert result.exit_code == 0, result.output
+
+
+def test_gen_e_hermitian_targets_p_eigenvalues(tmp_path):
+    result = invoke(
+        ["gen", "--kind", "e-hermitian", "--n", "6", "--p", "3", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert read_matrix(tmp_path / "oracle_right.mtx").shape == (6, 3)
+    assert "target subspace dimension: 3" in result.output
+
+
+@pytest.mark.parametrize(
+    "study,gen_args,refine_args",
+    [
+        (
+            "table1",
+            ["--kind", "diagonalizable", "--p", "3"],
+            ["--left", "start_left.mtx", "--oracle-left", "oracle_left.mtx"],
+        ),
+        (
+            "hamiltonian",
+            ["--kind", "hamiltonian"],
+            ["--method", "one-sided", "--structure", "hamiltonian"],
+        ),
+    ],
+)
+def test_gen_then_refine_replays_study_trial(
+    tmp_path, study, gen_args, refine_args
+):
+    # gen --seed s --trial t writes the inputs of study trial t, so a
+    # refine from those files retraces the study's first step.
+    seed, trial = 9, 4
+    cfg = ExperimentConfig(
+        experiment=study, n=10, p=3, trials=trial + 1, seed=seed
+    )
+    runner_fn = run_table1 if study == "table1" else run_hamiltonian
+    expected = runner_fn(cfg)[1][trial]
+    assert expected.status != "failure"
+    result = invoke(
+        ["gen", "--n", "10", "--seed", str(seed), "--trial", str(trial),
+         "--out", str(tmp_path)] + gen_args
+    )
+    assert result.exit_code == 0, result.output
+    files = [
+        str(tmp_path / arg) if arg.endswith(".mtx") else arg
+        for arg in refine_args
+    ]
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(tmp_path / "matrix.mtx"),
+            "--right", str(tmp_path / "start_right.mtx"),
+            "--oracle-right", str(tmp_path / "oracle_right.mtx"),
+            "--max-iters", "1",
+            "--out", str(tmp_path / "trace.csv"),
+        ]
+        + files
+    )
+    assert result.exit_code in (0, 2), result.output
+    got = read_traces(tmp_path / "trace.csv")[0]
+    assert got.iterates == 2
+    fields = ["right_err", "left_err"] if study == "table1" else ["right_err"]
+    for k in range(2):
+        for name in fields:
+            assert getattr(got.records[k], name) == pytest.approx(
+                getattr(expected.records[k], name), rel=1e-9
+            ), (k, name)
 
 
 # -------------------------------------------------------------- experiment

@@ -59,6 +59,12 @@ def test_config_defaults_are_valid():
     assert (cfg.n, cfg.p, cfg.trials) == (20, 5, 1000)
 
 
+def test_config_hamiltonian_ignores_p():
+    # The Hamiltonian study picks its block size per trial.
+    cfg = ExperimentConfig(experiment="hamiltonian", n=4, p=5)
+    assert cfg.n == 4
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -280,15 +286,18 @@ def test_hamiltonian_workers_determinism():
     assert summary_json(s1) == summary_json(s2)
 
 
-def test_hamiltonian_target_failure_is_recorded(tmp_path, monkeypatch):
+def check_build_failures_recorded(
+    tmp_path, monkeypatch, patched, runner, cfg
+):
+    # Every trial's instance build raises: each trial must be kept as one
+    # failed row whose reason survives the CSV round trip.
     import grqi.experiments
 
     def refuse(*args, **kwargs):
         raise NearDefectiveError("grouping would be unreliable")
 
-    monkeypatch.setattr(grqi.experiments, "full_eigenspace_targets", refuse)
-    cfg = ExperimentConfig(experiment="hamiltonian", n=8, p=2, trials=3)
-    summary, traces = run_hamiltonian(cfg)
+    monkeypatch.setattr(grqi.experiments, patched, refuse)
+    summary, traces = runner(cfg)
     assert summary.failures == 3
     assert summary.success_count == 0
     path = tmp_path / "h.csv"
@@ -301,6 +310,20 @@ def test_hamiltonian_target_failure_is_recorded(tmp_path, monkeypatch):
             "NearDefectiveError: grouping would be unreliable"
         )
         assert trace.iterates == 1
+
+
+def test_hamiltonian_target_failure_is_recorded(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(experiment="hamiltonian", n=8, p=2, trials=3)
+    check_build_failures_recorded(
+        tmp_path, monkeypatch, "full_eigenspace_targets", run_hamiltonian, cfg
+    )
+
+
+def test_table1_build_failure_is_recorded(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(experiment="table1", n=8, p=2, trials=3)
+    check_build_failures_recorded(
+        tmp_path, monkeypatch, "random_diagonalizable", run_table1, cfg
+    )
 
 
 # ------------------------------------------------------------- serialization
