@@ -53,15 +53,15 @@ from .structured import (
 
 _EXIT_CODE = {CONVERGED: 0, MAX_ITERS: 2, FAILURE: 3}
 
-_METHODS = ("tsgrqi", "grqi", "newton", "one-sided", "pencil")
-_STRUCTURES = (
-    "none",
-    "e-hermitian",
-    "e-skew-hermitian",
-    "hamiltonian",
-    "skew-hamiltonian",
-    "generalized",
-)
+# --structure -> (claimed kind built from (C, B, E), operand it needs)
+_STRUCTURES = {
+    "none": (None, None),
+    "e-hermitian": (lambda c, b, e: EHermitian(e), "e"),
+    "e-skew-hermitian": (lambda c, b, e: ESkewHermitian(e), "e"),
+    "hamiltonian": (lambda c, b, e: HamiltonianJ(), None),
+    "skew-hamiltonian": (lambda c, b, e: SkewHamiltonianJ(), None),
+    "generalized": (lambda c, b, e: GeneralizedHermitian(c, b), "b"),
+}
 
 
 def _fail_usage(message: str):
@@ -73,8 +73,7 @@ def _pencil_residual(a: np.ndarray, b: np.ndarray, y: Subspace) -> float:
     """Angle by which span(A Y) leaves span(B Y); zero on a deflating
     subspace of the pencil (A, B)."""
     ay = a @ y.basis
-    by = b @ y.basis
-    q = np.linalg.qr(by)[0]
+    q = np.linalg.qr(b @ y.basis)[0]
     ay_norm = np.linalg.norm(ay, 2)
     if ay_norm == 0.0:
         return 0.0
@@ -82,18 +81,82 @@ def _pencil_residual(a: np.ndarray, b: np.ndarray, y: Subspace) -> float:
     return float(np.arcsin(min(1.0, np.linalg.norm(leak, 2) / ay_norm)))
 
 
-def _load_matrix(path: str) -> np.ndarray:
+def _residual(c, b, y: Subspace) -> float:
+    return residual_angle(c, y)
+
+
+# (--method, --structure or None) -> (state type, step (C, B, E, cfg,
+# state) -> (state, diagnostics), residual of one side under (C, B)).
+# Steps are looked up by name when they run, so wrappers installed on
+# this module's bindings see every call.
+_E_STEP = (
+    Subspace,
+    lambda c, b, e, cfg, y: one_sided_step(c, e, y, cfg, full_output=True),
+    _residual,
+)
+_J_STEP = (
+    Subspace,
+    lambda c, b, e, cfg, y: hamiltonian_step(c, y, cfg, full_output=True),
+    _residual,
+)
+_METHODS = {
+    ("tsgrqi", None): (
+        SubspacePair, lambda c, b, e, cfg, s: tsgrqi_step(c, s, cfg), _residual
+    ),
+    ("grqi", None): (
+        Subspace,
+        lambda c, b, e, cfg, y: grqi_step(c, y, cfg, full_output=True),
+        _residual,
+    ),
+    ("newton", None): (
+        Subspace,
+        lambda c, b, e, cfg, y: newton_chatelin_step(c, y, full_output=True),
+        _residual,
+    ),
+    ("one-sided", "e-hermitian"): _E_STEP,
+    ("one-sided", "e-skew-hermitian"): _E_STEP,
+    ("one-sided", "hamiltonian"): _J_STEP,
+    ("one-sided", "skew-hamiltonian"): _J_STEP,
+    ("one-sided", "generalized"): (
+        Subspace,
+        lambda c, b, e, cfg, y: generalized_hermitian_step(
+            c, b, y, cfg, full_output=True
+        ),
+        _pencil_residual,
+    ),
+    ("pencil", None): (
+        PencilPair,
+        lambda c, b, e, cfg, s: pencil_tsgrqi_step(c, b, s, cfg=cfg),
+        _pencil_residual,
+    ),
+}
+
+
+def _load_matrix(path: str, like: np.ndarray | None = None) -> np.ndarray:
+    """Read a matrix; with ``like``, exit unless it has that shape."""
     try:
-        return read_matrix(path)
+        m = read_matrix(path)
     except (ParseError, UnsupportedFormatError, OSError) as exc:
         _fail_usage(str(exc))
+    if like is not None and m.shape != like.shape:
+        _fail_usage(f"{path}: matrix is {m.shape}, expected {like.shape}")
+    return m
 
 
-def _load_subspace(path: str) -> Subspace:
+def _load_subspace(path: str, n: int, p: int | None = None) -> Subspace:
+    """Read a basis; exit unless it has ``n`` rows (and ``p`` columns)."""
     try:
-        return orthonormalize(read_matrix(path))
+        y = orthonormalize(read_matrix(path))
     except (ParseError, UnsupportedFormatError, OSError, GrqiError) as exc:
         _fail_usage(f"{path}: {exc}")
+    shape = (n, p or y.p)
+    if y.basis.shape != shape:
+        _fail_usage(f"{path}: basis is {y.basis.shape}, expected {shape}")
+    return y
+
+
+def _state(state_type, left: Subspace, right: Subspace):
+    return right if state_type is Subspace else state_type(left, right)
 
 
 @click.group()
@@ -105,8 +168,8 @@ def cli():
 @click.option("--matrix", required=True, type=click.Path(), help="square matrix, Matrix Market array file")
 @click.option("--right", required=True, type=click.Path(), help="starting right subspace basis")
 @click.option("--left", type=click.Path(), help="starting left subspace basis (defaults to the right one)")
-@click.option("--method", type=click.Choice(_METHODS), default="tsgrqi", show_default=True)
-@click.option("--structure", type=click.Choice(_STRUCTURES), default="none", show_default=True, help="claimed structure, verified before the run")
+@click.option("--method", type=click.Choice(tuple(dict.fromkeys(m for m, _ in _METHODS))), default="tsgrqi", show_default=True)
+@click.option("--structure", type=click.Choice(tuple(_STRUCTURES)), default="none", show_default=True, help="claimed structure, verified before the run")
 @click.option("--e-matrix", type=click.Path(), help="E operator file for the e-* structures")
 @click.option("--b-matrix", type=click.Path(), help="B matrix file for generalized/pencil runs")
 @click.option("--strict", is_flag=True, help="refuse to run when the structure check fails")
@@ -116,45 +179,29 @@ def cli():
 @click.option("--oracle-left", type=click.Path(), help="reference left subspace for error columns")
 @click.option("--out", default="trace.csv", show_default=True, type=click.Path(), help="CSV trace output")
 def refine(
-    matrix,
-    right,
-    left,
-    method,
-    structure,
-    e_matrix,
-    b_matrix,
-    strict,
-    max_iters,
-    tol,
-    oracle_right,
-    oracle_left,
-    out,
+    matrix, right, left, method, structure, e_matrix, b_matrix, strict,
+    max_iters, tol, oracle_right, oracle_left, out,
 ):
     """Run one refinement and write its per-iterate trace to CSV."""
     c = _load_matrix(matrix)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         _fail_usage(f"{matrix}: matrix must be square, got {c.shape}")
-    b = _load_matrix(b_matrix) if b_matrix else None
-    e = _load_matrix(e_matrix) if e_matrix else None
+    b = _load_matrix(b_matrix, c) if b_matrix else None
+    e = _load_matrix(e_matrix, c) if e_matrix else None
 
-    if structure in ("e-hermitian", "e-skew-hermitian") and e is None:
-        _fail_usage(f"--structure {structure} needs --e-matrix")
-    if structure == "generalized" and b is None:
-        _fail_usage("--structure generalized needs --b-matrix")
-    if method == "pencil" and b is None:
-        _fail_usage("--method pencil needs --b-matrix")
+    kind, needs = _STRUCTURES[structure]
+    if needs and {"b": b, "e": e}[needs] is None:
+        _fail_usage(f"--structure {structure} needs --{needs}-matrix")
+    entry = _METHODS.get((method, None)) or _METHODS.get((method, structure))
+    if entry is None:
+        _fail_usage(f"--method {method} needs a --structure")
+    state_type, step, one_side = entry
+    if one_side is _pencil_residual and b is None:  # the pencil (C, B)
+        _fail_usage(f"--method {method} needs --b-matrix")
 
-    if structure != "none":
-        kind = {
-            "e-hermitian": lambda: EHermitian(e),
-            "e-skew-hermitian": lambda: ESkewHermitian(e),
-            "hamiltonian": HamiltonianJ,
-            "skew-hamiltonian": SkewHamiltonianJ,
-            "generalized": lambda: GeneralizedHermitian(c, b),
-        }[structure]()
-        operand = (c, b) if structure == "generalized" else c
+    if kind is not None:
         try:
-            chk = check_structure(operand, kind)
+            chk = check_structure((c, b) if needs == "b" else c, kind(c, b, e))
         except GrqiError as exc:
             _fail_usage(str(exc))
         if not chk.ok:
@@ -167,75 +214,40 @@ def refine(
                 sys.exit(3)
             click.echo(f"warning: {message}", err=True)
 
-    yr = _load_subspace(right)
-    yl = _load_subspace(left) if left else yr
-    scfg = StepConfig(max_iters=max_iters, angle_tol=tol)
-
+    n = c.shape[0]
+    yr = _load_subspace(right, n)
+    yl = _load_subspace(left, n) if left else yr
+    paired = state_type is not Subspace
+    if paired and (oracle_right is None) != (oracle_left is None):
+        _fail_usage(f"--method {method} needs both oracle files or neither")
     oracle = None
-    if method in ("tsgrqi", "pencil"):
-        if (oracle_right is None) != (oracle_left is None):
-            _fail_usage(
-                f"--method {method} needs both oracle files or neither"
-            )
-        if oracle_right:
-            oracle = SubspacePair(
-                left=_load_subspace(oracle_left),
-                right=_load_subspace(oracle_right),
-            )
-    elif oracle_right:
-        oracle = _load_subspace(oracle_right)
-
-    residual = None
+    if oracle_right:
+        o_left = _load_subspace(oracle_left, n, yr.p) if paired else None
+        o_right = _load_subspace(oracle_right, n, yr.p)
+        oracle = _state(state_type, o_left, o_right)
     try:
-        if method == "tsgrqi":
-            state = SubspacePair(left=yl, right=yr)
-            step = lambda s: tsgrqi_step(c, s, scfg)
-            residual = lambda s: max(
-                residual_angle(c, s.right), residual_angle(c.conj().T, s.left)
-            )
-        elif method == "grqi":
-            state = yr
-            step = lambda y: grqi_step(c, y, scfg, full_output=True)
-            residual = lambda y: residual_angle(c, y)
-        elif method == "newton":
-            state = yr
-            step = lambda y: newton_chatelin_step(c, y, full_output=True)
-            residual = lambda y: residual_angle(c, y)
-        elif method == "one-sided":
-            state = yr
-            residual = lambda y: residual_angle(c, y)
-            if structure in ("e-hermitian", "e-skew-hermitian"):
-                step = lambda y: one_sided_step(
-                    c, e, y, scfg, full_output=True
-                )
-            elif structure in ("hamiltonian", "skew-hamiltonian"):
-                step = lambda y: hamiltonian_step(
-                    c, y, scfg, full_output=True
-                )
-            elif structure == "generalized":
-                step = lambda y: generalized_hermitian_step(
-                    c, b, y, scfg, full_output=True
-                )
-                residual = lambda y: _pencil_residual(c, b, y)
-            else:
-                _fail_usage("--method one-sided needs a --structure")
-        else:
-            state = PencilPair(hatted_left=yl, right=yr)
-            step = lambda s: pencil_tsgrqi_step(c, b, s, cfg=scfg)
-            residual = lambda s: max(
-                _pencil_residual(c, b, s.right),
-                _pencil_residual(c.conj().T, b.conj().T, s.left),
-            )
+        state = _state(state_type, yl, yr)
     except GrqiError as exc:
         _fail_usage(str(exc))
 
-    trace = iterate(step, state, scfg, residual=residual, oracle=oracle)
+    scfg = StepConfig(max_iters=max_iters, angle_tol=tol)
+    if paired:
+        c_h, b_h = c.conj().T, None if b is None else b.conj().T
+        residual = lambda s: max(
+            one_side(c, b, s.right), one_side(c_h, b_h, s.left)
+        )
+    else:
+        residual = lambda y: one_side(c, b, y)
+    trace = iterate(
+        lambda s: step(c, b, e, scfg, s), state, scfg,
+        residual=residual, oracle=oracle,
+    )
     write_traces(out, [trace])
     last = trace.records[-1]
     click.echo(f"status: {trace.status} after {trace.iterates - 1} step(s)")
     if oracle is not None:
         click.echo(f"final error: {last.err_sum:.6e}")
-    if residual is not None and trace.status != FAILURE:
+    if trace.status != FAILURE:
         click.echo(f"final residual angle: {last.residual:.6e}")
     if trace.failure_reason:
         click.echo(trace.failure_reason, err=True)
@@ -248,7 +260,7 @@ def experiment():
     """Canned reproducible convergence studies."""
 
 
-def _run_experiment(runner, cfg, out, trace_path, extra_lines=()):
+def _run_experiment(runner, cfg, out, trace_path):
     summary, traces = runner(cfg)
     click.echo(format_table(summary))
     click.echo(
@@ -256,8 +268,9 @@ def _run_experiment(runner, cfg, out, trace_path, extra_lines=()):
         f"({summary.success_count}/{summary.trials})"
     )
     click.echo(f"failed trials: {summary.failures}")
-    for line in extra_lines(summary) if callable(extra_lines) else extra_lines:
-        click.echo(line)
+    if summary.p_counts:
+        sizes = ", ".join(f"p={p}: {k}" for p, k in summary.p_counts.items())
+        click.echo(f"block sizes: {sizes}")
     click.echo(f"wall time: {summary.wall_time:.2f} s")
     if out:
         write_summary(out, summary)
@@ -326,19 +339,7 @@ def experiment_hamiltonian(
         )
     except ValueError as exc:
         _fail_usage(str(exc))
-
-    def block_sizes(summary):
-        if not summary.p_counts:
-            return []
-        sizes = ", ".join(
-            f"p={p}: {count}" for p, count in summary.p_counts.items()
-        )
-        return [f"block sizes: {sizes}"]
-
-    try:
-        _run_experiment(run_hamiltonian, cfg, out, trace_path, block_sizes)
-    except ValueError as exc:
-        _fail_usage(str(exc))
+    _run_experiment(run_hamiltonian, cfg, out, trace_path)
 
 
 _GEN_KINDS = (

@@ -112,6 +112,10 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if self.experiment == "hamiltonian" and (self.n < 2 or self.n % 2):
+            raise ValueError(
+                f"Hamiltonian study needs even n > 0, got {self.n}"
+            )
 
 
 @dataclass
@@ -219,6 +223,8 @@ def _instance(kind, n, p, seed, trial, delta):
     ``diagonalizable`` and for ``hamiltonian`` (J is implied); the
     structured kinds perturb the right oracle and start from span(E Y).
     """
+    if kind in ("diagonalizable", "e-hermitian") and not (n > p >= 1):
+        raise ValueError(f"need n > p >= 1, got n={n}, p={p}")
     rng = trial_rng(seed, trial)
     if kind == "diagonalizable":
         prob = random_diagonalizable(n, p, rng)
@@ -329,8 +335,6 @@ def run_hamiltonian(
     the block size is 2 or 4 per trial; the left iterate is recovered from
     the right one through the structure map rather than iterated.
     """
-    if cfg.n < 2 or cfg.n % 2:
-        raise ValueError(f"Hamiltonian study needs even n > 0, got {cfg.n}")
     return _run_study(
         "hamiltonian", cfg, _HAMILTONIAN_ITERS, hamiltonian_success
     )

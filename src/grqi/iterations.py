@@ -64,26 +64,20 @@ class StepConfig:
     """Knobs shared by the iteration steps and the driver.
 
     ``max_iters`` and ``angle_tol`` are the step budget and convergence
-    threshold of :func:`iterate`.  ``eps_scale`` controls the fallback
-    perturbation of near-singular shifted solves
-    (``eps_scale * u * ||C||_F``).  ``strict_defective`` turns the
-    near-defective shift-block warning into a hard error at condition
-    ``defective_cond_limit``.
+    threshold of :func:`iterate`.  ``strict_defective`` turns a shift
+    block whose eigenvector basis has condition above 1e8 into a
+    :class:`~grqi.errors.NearDefectiveError`.
     """
 
     max_iters: int = 50
     angle_tol: float = 1e-12
-    eps_scale: float = 1e3
     strict_defective: bool = False
-    defective_cond_limit: float = 1e8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (self.angle_tol > 0.0):
             raise ValueError(f"angle_tol must be > 0, got {self.angle_tol}")
-        if self.eps_scale <= 0.0:
-            raise ValueError(f"eps_scale must be > 0, got {self.eps_scale}")
 
 
 @dataclass(frozen=True)
@@ -228,18 +222,14 @@ def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
         )
     ayr = a @ yr
     quotient = np.linalg.solve(gram, yl_h @ (ayr if e is None else e(ayr)))
-    block = small_eig(
-        quotient,
-        strict=cfg.strict_defective,
-        cond_limit=cfg.defective_cond_limit,
-    )
+    block = small_eig(quotient, strict=bool(cfg and cfg.strict_defective))
     w = block.eigvecs
     rhs_l = None
     if two_sided:
         rhs_l = yl @ np.linalg.inv(gram @ w).conj().T
         if b is not None:
             rhs_l = b.conj().T @ rhs_l
-    eps = solve_eps(a, cfg.eps_scale)
+    eps = solve_eps(a)
     right, left, perturbed = _solve_columns(
         a, block.shifts, byr @ w, eps, left=rhs_l, b=b
     )
@@ -293,9 +283,8 @@ def grqi_step(
 
     The block Rayleigh quotient Y^H A Y is diagonalized (it is Hermitian,
     so the eigenvector basis is unitary) and each column is refined by an
-    independently shifted solve.
+    independently shifted solve; no setting of ``cfg`` applies to it.
     """
-    cfg = cfg or StepConfig()
     a = np.asarray(a)
     if a.shape != (y.n, y.n):
         raise DimensionMismatchError(
@@ -305,7 +294,7 @@ def grqi_step(
     rayleigh = y.basis.conj().T @ (a @ y.basis)
     rayleigh = (rayleigh + rayleigh.conj().T) / 2.0
     shifts, w = np.linalg.eigh(rayleigh)
-    eps = solve_eps(a, cfg.eps_scale)
+    eps = solve_eps(a)
     out, _, perturbed = _solve_columns(a, shifts, y.basis @ w, eps)
     if full_output:
         return out, StepDiagnostics(perturbed=perturbed, shift_cond=1.0)
@@ -379,7 +368,6 @@ def tsgrqi_step(
     that hit the spectrum are retried with a perturbed shift; both
     updates are orthonormalized.
     """
-    cfg = cfg or StepConfig()
     c = np.asarray(c)
     if c.shape != (pair.n, pair.n):
         raise DimensionMismatchError(
@@ -426,18 +414,13 @@ def newton_chatelin_step(
     return out
 
 
-def _as_tuple(state) -> tuple[Subspace, ...]:
-    if isinstance(state, Subspace):
-        return (state,)
-    # Any two-sided state exposing .left/.right components.
-    return (state.left, state.right)
-
-
 def _state_angle(a, b) -> float:
     """Largest principal angle between matching components of two states."""
+    if isinstance(a, Subspace):
+        return largest_principal_angle(a, b)
     return max(
-        largest_principal_angle(x, y)
-        for x, y in zip(_as_tuple(a), _as_tuple(b))
+        largest_principal_angle(a.left, b.left),
+        largest_principal_angle(a.right, b.right),
     )
 
 
@@ -469,10 +452,15 @@ def _run_steps(
     :func:`iterate` describes; without ``angle_tol`` every step is taken,
     even past convergence."""
     trace = IterationTrace()
-    prev, diag = None, StepDiagnostics()
+    prev, diag, failure = None, StepDiagnostics(), None
     for k in range(steps + 1):
-        res = float(residual(state)) if residual is not None else float("nan")
+        try:
+            res = float("nan") if residual is None else float(residual(state))
+        except GrqiError as exc:
+            res, failure = float("nan"), exc
         trace.records.append(_oracle_record(state, oracle, k, res, diag))
+        if failure is not None:
+            break
         if (
             angle_tol is not None
             and prev is not None
@@ -486,10 +474,12 @@ def _run_steps(
         try:
             nxt, diag = step(state)
         except GrqiError as exc:
-            trace.status = FAILURE
-            trace.failure_reason = f"{type(exc).__name__}: {exc}"
+            failure = exc
             break
         prev, state = state, nxt
+    if failure is not None:
+        trace.status = FAILURE
+        trace.failure_reason = f"{type(failure).__name__}: {failure}"
     return trace
 
 
@@ -511,8 +501,9 @@ def iterate(
     The run is declared converged when both the angle between successive
     iterates and the residual angle fall below ``cfg.angle_tol`` at the
     same iterate (the successive-iterate angle alone can stall small while
-    the iterate is still wrong).  Step failures are captured in the trace
-    status, never raised.
+    the iterate is still wrong).  Step and residual failures are captured
+    in the trace status, never raised; an iterate whose residual failed
+    keeps its row, with a NaN residual.
     """
     cfg = cfg or StepConfig()
     return _run_steps(

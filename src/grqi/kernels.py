@@ -44,6 +44,7 @@ _U = float(np.finfo(np.float64).eps)
 
 _ORTHO_RTOL = 1e-12
 _RANK_RTOL = 1e-15
+_DEFECTIVE_COND = 1e8
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,18 +239,13 @@ def _eig2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vecs, vals
 
 
-def small_eig(
-    r: np.ndarray,
-    *,
-    strict: bool = False,
-    cond_limit: float = 1e8,
-) -> BlockShift:
+def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
     """Eigendecomposition of a small (p x p) shift block.
 
     For p <= 2 closed forms are used; larger blocks go through the dense
     nonsymmetric eigensolver.  The condition number of the eigenvector
     matrix is always reported; when ``strict`` is set and it exceeds
-    ``cond_limit`` a :class:`~grqi.errors.NearDefectiveError` is raised
+    1e8 a :class:`~grqi.errors.NearDefectiveError` is raised
     instead of proceeding.
     """
     r = np.asarray(r)
@@ -268,10 +264,10 @@ def small_eig(
             w = np.asarray(w, dtype=complex)
             vals = np.asarray(vals, dtype=complex)
         cond = float(np.linalg.cond(w))
-    if strict and cond > cond_limit:
+    if strict and cond > _DEFECTIVE_COND:
         raise NearDefectiveError(
             f"eigenvector basis of the shift block has condition {cond:.3e} "
-            f"> {cond_limit:.1e}"
+            f"> {_DEFECTIVE_COND:.1e}"
         )
     return BlockShift(eigvecs=w, shifts=vals, cond=cond)
 

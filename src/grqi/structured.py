@@ -22,7 +22,12 @@ from .errors import (
     DimensionMismatchError,
     OddDimensionError,
 )
-from .iterations import StepConfig, StepDiagnostics, _rayleigh_step
+from .iterations import (
+    StepConfig,
+    StepDiagnostics,
+    SubspacePair,
+    _rayleigh_step,
+)
 from .kernels import Subspace, orthonormalize
 from .testgen import _checked_eig, group_mirror_eigenvalues
 
@@ -50,6 +55,8 @@ __all__ = [
 ]
 
 _STRUCT_RTOL = 1e-10
+_PENCIL_COND_LIMIT = 1e8
+_PENCIL_TRIES = 50
 
 
 @dataclass(frozen=True)
@@ -118,36 +125,17 @@ class PencilCoefficients:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PencilPair:
+class PencilPair(SubspacePair):
     """Right subspace and transformed left subspace tracked by the pencil
-    iteration (the left factor absorbs B_hat^{-H})."""
+    iteration (the left factor absorbs B_hat^{-H}); ``left`` is the
+    hatted left subspace."""
 
-    hatted_left: Subspace
-    right: Subspace
-
-    def __post_init__(self):
-        if (
-            self.hatted_left.n != self.right.n
-            or self.hatted_left.p != self.right.p
-        ):
-            raise DimensionMismatchError(
-                f"left is {self.hatted_left.n}x{self.hatted_left.p}, "
-                f"right is {self.right.n}x{self.right.p}"
-            )
+    def __init__(self, hatted_left: Subspace, right: Subspace):
+        super().__init__(left=hatted_left, right=right)
 
     @property
-    def n(self) -> int:
-        return self.right.n
-
-    @property
-    def p(self) -> int:
-        return self.right.p
-
-    @property
-    def left(self) -> Subspace:
-        """Alias so drivers can treat any two-sided state uniformly."""
-        return self.hatted_left
+    def hatted_left(self) -> Subspace:
+        return self.left
 
 
 class StructureCheck(NamedTuple):
@@ -245,7 +233,6 @@ def one_sided_step(
     only the right update C Z - Z (Y^H E Y)^{-1} (Y^H E C Y) = Y needs to
     be solved.  ``e`` may be a dense matrix or a callable applying it.
     """
-    cfg = cfg or StepConfig()
     c = np.asarray(c)
     if c.shape != (y.n, y.n):
         raise DimensionMismatchError(
@@ -289,7 +276,6 @@ def generalized_hermitian_step(
     implemented with shifted pencil solves (A - rho_i B) so B is never
     inverted.
     """
-    cfg = cfg or StepConfig()
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != (y.n, y.n) or b.shape != (y.n, y.n):
@@ -318,7 +304,6 @@ def full_eigenspace_targets(
     e=None,
     *,
     conjugate_closed: bool | None = None,
-    cond_limit: float = 1e8,
 ) -> list[TargetGroup]:
     """Eigenvalue groups symmetric about the imaginary axis, with their
     right eigenspaces.
@@ -335,7 +320,7 @@ def full_eigenspace_targets(
     descending order of largest absolute real part.
     """
     c = np.asarray(c)
-    values, s = _checked_eig(c, cond_limit)
+    values, s = _checked_eig(c)
     if conjugate_closed is None:
         conjugate_closed = bool(np.isrealobj(c))
     apply_e = _as_operator(e) if e is not None else None
@@ -375,7 +360,6 @@ def pencil_tsgrqi_step(
     normalization this reduces to the plain two-sided step.
     """
     coeffs = coeffs or PencilCoefficients()
-    cfg = cfg or StepConfig()
     a = np.asarray(a)
     b = np.asarray(b)
     n = pair.n
@@ -391,7 +375,7 @@ def pencil_tsgrqi_step(
             "(alpha, beta)"
         )
     right, left, diag = _rayleigh_step(
-        a_hat, pair.hatted_left.basis, pair.right.basis, cfg,
+        a_hat, pair.left.basis, pair.right.basis, cfg,
         b=b_hat, two_sided=True,
     )
     return PencilPair(hatted_left=left, right=right), diag
@@ -401,14 +385,11 @@ def choose_pencil_normalization(
     a: np.ndarray,
     b: np.ndarray,
     rng: np.random.Generator | None = None,
-    *,
-    cond_limit: float = 1e8,
-    tries: int = 50,
 ) -> PencilCoefficients:
     """Pick pencil coefficients with a well-conditioned B_hat.
 
     The default normalization (B_hat = B) is kept when B is invertible
-    with condition below ``cond_limit``; otherwise random unit-circle
+    with condition below 1e8; otherwise up to 50 random unit-circle
     combinations (alpha, beta) are tried, with (gamma, delta) =
     (-beta, alpha) to keep the pair nondegenerate.  Raises
     :class:`~grqi.errors.DegeneratePencilError` when no acceptable
@@ -418,18 +399,18 @@ def choose_pencil_normalization(
     b = np.asarray(b)
 
     default = PencilCoefficients()
-    if np.linalg.cond(default.transform(a, b)[1]) < cond_limit:
+    if np.linalg.cond(default.transform(a, b)[1]) < _PENCIL_COND_LIMIT:
         return default
     rng = rng or np.random.default_rng(0)
-    for _ in range(tries):
+    for _ in range(_PENCIL_TRIES):
         t = float(rng.uniform(0.0, 2.0 * np.pi))
         alpha, beta = np.cos(t), np.sin(t)
         coeffs = PencilCoefficients(
             alpha=alpha, beta=beta, gamma=-beta, delta=alpha
         )
-        if np.linalg.cond(coeffs.transform(a, b)[1]) < cond_limit:
+        if np.linalg.cond(coeffs.transform(a, b)[1]) < _PENCIL_COND_LIMIT:
             return coeffs
     raise DegeneratePencilError(
-        f"no normalization with cond(B_hat) < {cond_limit:.1e} found in "
-        f"{tries} tries"
+        f"no normalization with cond(B_hat) < {_PENCIL_COND_LIMIT:.1e} "
+        f"found in {_PENCIL_TRIES} tries"
     )

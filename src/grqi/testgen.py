@@ -41,8 +41,8 @@ __all__ = [
     "build_block_diagonalizer",
 ]
 
-_PAIR_RTOL = 1e-8
 _GAP_RTOL = 1e-8
+_EIG_COND_LIMIT = 1e8
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -296,27 +296,24 @@ def select_full_group_max_real(tol: float, conjugate_closed: bool = True):
     return _select
 
 
-def _checked_eig(c: np.ndarray, cond_limit: float):
+def _checked_eig(c: np.ndarray):
     """Eigenvalues and eigenvector matrix of the square matrix ``c``;
     :class:`~grqi.errors.NearDefectiveError` when the eigenvector matrix
-    condition exceeds ``cond_limit``."""
+    condition exceeds 1e8."""
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
     values, s = np.linalg.eig(c)
     cond = float(np.linalg.cond(s))
-    if cond > cond_limit:
+    if cond > _EIG_COND_LIMIT:
         raise NearDefectiveError(
             f"eigenvector matrix condition {cond:.3e} exceeds "
-            f"{cond_limit:.1e}"
+            f"{_EIG_COND_LIMIT:.1e}"
         )
     return values, s
 
 
 def eigenspace_pair_oracle(
-    c: np.ndarray,
-    selector,
-    *,
-    cond_limit: float = 1e8,
+    c: np.ndarray, selector
 ) -> tuple[Subspace, Subspace, np.ndarray]:
     """Exact left/right eigenspace pair for a selected eigenvalue subset.
 
@@ -328,7 +325,7 @@ def eigenspace_pair_oracle(
     separated from the remaining spectrum.
     """
     c = np.asarray(c)
-    values, s = _checked_eig(c, cond_limit)
+    values, s = _checked_eig(c)
     n = c.shape[0]
     idx = np.asarray(selector(values), dtype=int)
     if idx.size == 0 or idx.size > n:

@@ -7,12 +7,19 @@ from click.testing import CliRunner
 
 from grqi import (
     ExperimentConfig,
+    PencilPair,
     StepConfig,
     Subspace,
     SubspacePair,
+    generalized_hermitian_step,
+    grqi_step,
+    hamiltonian_step,
     iterate,
     nearby_subspace,
+    newton_chatelin_step,
+    one_sided_step,
     orthonormalize,
+    pencil_tsgrqi_step,
     random_diagonalizable,
     read_matrix,
     read_traces,
@@ -23,7 +30,7 @@ from grqi import (
     tsgrqi_step,
     write_matrix,
 )
-from grqi.cli import cli
+from grqi.cli import _pencil_residual, cli
 
 runner = CliRunner()
 
@@ -282,6 +289,233 @@ def test_refine_rerun_reproduces_csv_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def _path_inputs(tmp_path, method, structure):
+    """Write the inputs of one refine path; returns the refine arguments
+    naming them."""
+    rng = trial_rng(31)
+    if structure in ("e-hermitian", "e-skew-hermitian", "hamiltonian"):
+        result = invoke(
+            ["gen", "--kind", structure, "--n", "8", "--p", "2", "--seed", "5",
+             "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        files = {
+            "matrix": "matrix.mtx",
+            "right": "start_right.mtx",
+            "oracle-right": "oracle_right.mtx",
+        }
+        if structure != "hamiltonian":
+            files["e-matrix"] = "e.mtx"
+        return [
+            arg
+            for flag, name in files.items()
+            for arg in (f"--{flag}", str(tmp_path / name))
+        ]
+    arrays = {}
+    if method in ("tsgrqi", "newton", "pencil"):
+        prob = random_diagonalizable(8, 2, rng)
+        c, right, left = prob.matrix, prob.oracle_right, prob.oracle_left
+        if method == "pencil":
+            b = rng.standard_normal((8, 8)) + 8.0 * np.eye(8)
+            c = b @ c  # deflating pair of (B C, B): span(S), B^-H span(L)
+            arrays["b-matrix"] = b
+            left = orthonormalize(np.linalg.solve(b.T, left.basis))
+    elif structure == "skew-hamiltonian":
+        prob = random_diagonalizable(4, 1, rng)
+        zero = np.zeros((4, 4))
+        c = np.block([[prob.matrix, zero], [zero, prob.matrix.T]])
+        basis = np.zeros((8, 2))
+        basis[:4, 0] = prob.oracle_right.basis[:, 0]
+        basis[4:, 1] = prob.oracle_left.basis[:, 0]
+        right = orthonormalize(basis)
+    else:
+        a = rng.standard_normal((8, 8))
+        c = (a + a.T) / 2.0
+        if structure == "generalized":
+            g = rng.standard_normal((8, 8))
+            b = g @ g.T + 8.0 * np.eye(8)
+            arrays["b-matrix"] = b
+            vecs = np.linalg.eig(np.linalg.solve(b, c))[1].real
+        else:
+            vecs = np.linalg.eigh(c)[1]
+        right = orthonormalize(vecs[:, :2])
+    arrays["matrix"] = c
+    arrays["oracle-right"] = right.basis
+    arrays["right"] = nearby_subspace(right, 0.05, rng).basis
+    if method in ("tsgrqi", "pencil"):
+        arrays["oracle-left"] = left.basis
+        arrays["left"] = nearby_subspace(left, 0.05, rng).basis
+    args = []
+    for flag, value in arrays.items():
+        write_matrix(tmp_path / f"{flag}.mtx", value)
+        args += [f"--{flag}", str(tmp_path / f"{flag}.mtx")]
+    return args
+
+
+def _in_memory_run(method, structure, files):
+    """The same run through ``iterate`` and the public step."""
+    c = read_matrix(files["--matrix"])
+    b = read_matrix(files["--b-matrix"]) if "--b-matrix" in files else None
+    e = read_matrix(files["--e-matrix"]) if "--e-matrix" in files else None
+    sub = {k: orthonormalize(read_matrix(v)) for k, v in files.items()
+           if k in ("--right", "--left", "--oracle-right", "--oracle-left")}
+    cfg = StepConfig(max_iters=50, angle_tol=1e-12)
+    right_res = lambda y: residual_angle(c, y)
+    if method == "tsgrqi":
+        state = SubspacePair(left=sub["--left"], right=sub["--right"])
+        oracle = SubspacePair(
+            left=sub["--oracle-left"], right=sub["--oracle-right"]
+        )
+        step = lambda s: tsgrqi_step(c, s, cfg)
+        residual = lambda s: max(
+            residual_angle(c, s.right), residual_angle(c.conj().T, s.left)
+        )
+        return iterate(step, state, cfg, residual=residual, oracle=oracle)
+    if method == "pencil":
+        state = PencilPair(hatted_left=sub["--left"], right=sub["--right"])
+        oracle = SubspacePair(
+            left=sub["--oracle-left"], right=sub["--oracle-right"]
+        )
+        step = lambda s: pencil_tsgrqi_step(c, b, s, cfg=cfg)
+        residual = lambda s: max(
+            _pencil_residual(c, b, s.right),
+            _pencil_residual(c.conj().T, b.conj().T, s.left),
+        )
+        return iterate(step, state, cfg, residual=residual, oracle=oracle)
+    if method == "grqi":
+        step = lambda y: grqi_step(c, y, cfg, full_output=True)
+    elif method == "newton":
+        step = lambda y: newton_chatelin_step(c, y, full_output=True)
+    elif structure in ("hamiltonian", "skew-hamiltonian"):
+        step = lambda y: hamiltonian_step(c, y, cfg, full_output=True)
+    elif structure == "generalized":
+        step = lambda y: generalized_hermitian_step(
+            c, b, y, cfg, full_output=True
+        )
+        right_res = lambda y: _pencil_residual(c, b, y)
+    else:
+        step = lambda y: one_sided_step(c, e, y, cfg, full_output=True)
+    return iterate(
+        step, sub["--right"], cfg, residual=right_res,
+        oracle=sub["--oracle-right"],
+    )
+
+
+REFINE_PATHS = [
+    ("tsgrqi", "none"),
+    ("grqi", "none"),
+    ("newton", "none"),
+    ("pencil", "none"),
+    ("one-sided", "e-hermitian"),
+    ("one-sided", "e-skew-hermitian"),
+    ("one-sided", "hamiltonian"),
+    ("one-sided", "skew-hamiltonian"),
+    ("one-sided", "generalized"),
+]
+
+
+@pytest.mark.parametrize("method,structure", REFINE_PATHS)
+def test_refine_path_matches_in_memory_iteration(tmp_path, method, structure):
+    args = _path_inputs(tmp_path, method, structure)
+    out = tmp_path / "trace.csv"
+    result = invoke(
+        ["refine", "--method", method, "--structure", structure,
+         "--out", str(out)] + args
+    )
+    assert result.exit_code == 0, result.output
+    assert "warning" not in result.output
+    got = read_traces(out)[0]
+    ref = _in_memory_run(method, structure, dict(zip(args[::2], args[1::2])))
+    assert got.status == ref.status == "converged"
+    assert got.failure_reason == ref.failure_reason
+    assert len(got.records) == len(ref.records)
+    for a, b in zip(got.records, ref.records):
+        # bitwise through the CSV round trip, NaN where no oracle side
+        np.testing.assert_array_equal(
+            [a.right_err, a.left_err, a.err_sum, a.residual, a.shift_cond],
+            [b.right_err, b.left_err, b.err_sum, b.residual, b.shift_cond],
+        )
+        assert a.perturbed == b.perturbed
+
+
+@pytest.mark.parametrize(
+    "files,extra,culprit",
+    [
+        ({"right": np.eye(12)[:, :2]}, [], "right"),
+        (
+            {"right": np.eye(10)[:, :2], "oracle": np.eye(10)[:, :3]},
+            ["--method", "grqi", "--oracle-right"],
+            "oracle",
+        ),
+        (
+            {"right": np.eye(10)[:, :2], "oracle": np.eye(10)[:, 1:3],
+             "oracle_left": np.eye(12)[:, :2]},
+            ["--oracle-right"],
+            "oracle_left",
+        ),
+        (
+            {"right": np.eye(10)[:, :2], "b": 2.0 * np.eye(3)},
+            ["--method", "pencil", "--b-matrix"],
+            "b",
+        ),
+        (
+            {"right": np.eye(10)[:, :2], "e": np.eye(9)},
+            ["--method", "one-sided", "--structure", "e-hermitian",
+             "--e-matrix"],
+            "e",
+        ),
+    ],
+    ids=["right-rows", "oracle-columns", "oracle-left-rows", "b-shape",
+         "e-shape"],
+)
+def test_refine_shape_mismatch_exits_one(tmp_path, files, extra, culprit):
+    write_matrix(tmp_path / "c.mtx", np.diag(np.arange(1.0, 11.0)))
+    for name, value in files.items():
+        write_matrix(tmp_path / f"{name}.mtx", value)
+    args = [
+        "refine",
+        "--matrix", str(tmp_path / "c.mtx"),
+        "--right", str(tmp_path / "right.mtx"),
+        "--out", str(tmp_path / "t.csv"),
+    ] + extra
+    if "oracle" in files:
+        args.append(str(tmp_path / "oracle.mtx"))
+    if "oracle_left" in files:
+        args += ["--oracle-left", str(tmp_path / "oracle_left.mtx")]
+    for name in ("b", "e"):
+        if name in files:
+            args.append(str(tmp_path / f"{name}.mtx"))
+    result = invoke(args)
+    assert result.exit_code == 1
+    assert f"{culprit}.mtx: " in result.output
+    assert "expected (10, " in result.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_refine_records_residual_failure(tmp_path):
+    # grqi reaches the kernel of C exactly (C Y = 0), where the residual
+    # angle is undefined: a failure in the trace, not a crash.
+    write_matrix(tmp_path / "c.mtx", np.diag([0.0, 1.0, 2.0, 3.0]))
+    write_matrix(tmp_path / "y.mtx", np.array([[1.0], [1e-3], [2e-3], [-1e-3]]))
+    out = tmp_path / "trace.csv"
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(tmp_path / "c.mtx"),
+            "--right", str(tmp_path / "y.mtx"),
+            "--method", "grqi",
+            "--out", str(out),
+        ]
+    )
+    assert result.exit_code == 3
+    assert "RankDeficientError" in result.output
+    trace = read_traces(out)[0]
+    assert trace.status == "failure"
+    assert trace.failure_reason.startswith("RankDeficientError: ")
+    assert np.isnan(trace.records[-1].residual)
+    assert len(trace.records) > 1
+
+
 # --------------------------------------------------------------------- gen
 
 
@@ -311,6 +545,28 @@ def test_gen_writes_expected_files(tmp_path, kind, n, extra):
         expected.add("e.mtx")
     assert expected <= {f.name for f in tmp_path.iterdir()}
     assert "target subspace dimension" in result.output
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("diagonalizable", "6"), ("diagonalizable", "0"), ("e-hermitian", "9"),
+     ("e-hermitian", "6")],
+)
+def test_gen_rejects_block_size_outside_n(tmp_path, kind, p):
+    result = invoke(
+        ["gen", "--kind", kind, "--n", "6", "--p", p, "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 1
+    assert f"need n > p >= 1, got n=6, p={p}" in result.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["hamiltonian", "e-skew-hermitian"])
+def test_gen_full_group_kinds_ignore_p(tmp_path, kind):
+    result = invoke(
+        ["gen", "--kind", kind, "--n", "6", "--p", "9", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
 
 
 def test_gen_then_refine_converges(tmp_path):
@@ -477,4 +733,12 @@ def test_experiment_hamiltonian_runs_small(tmp_path):
     assert doc["experiment"] == "hamiltonian"
     assert doc["p"] is None
     assert "success rate" in result.output
-    assert "block sizes" in result.output
+    assert "block sizes: p=" in result.output
+
+
+def test_experiment_hamiltonian_odd_n_exits_one(tmp_path):
+    result = runner.invoke(
+        cli, ["experiment", "hamiltonian", "--n", "7", "--trials", "2"]
+    )
+    assert result.exit_code == 1
+    assert "Hamiltonian study needs even n > 0, got 7" in result.output

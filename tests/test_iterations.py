@@ -440,6 +440,26 @@ def test_iterate_captures_step_failure():
     assert "GramSingularError" in trace.failure_reason
 
 
+def test_iterate_captures_residual_failure():
+    # From near e1, the iterate reaches the kernel of C exactly, so C Y = 0
+    # and the residual cannot be formed.
+    c = np.diag([0.0, 1.0, 2.0, 3.0])
+    start = orthonormalize(np.array([[1.0], [1e-3], [2e-3], [-1e-3]]))
+    trace = iterate(
+        lambda s: grqi_step(c, s, full_output=True),
+        start,
+        residual=lambda s: residual_angle(c, s),
+        oracle=Subspace(np.eye(4)[:, :1]),
+    )
+    assert trace.status == FAILURE
+    assert trace.failure_reason.startswith("RankDeficientError: ")
+    last = trace.records[-1]
+    assert last.index == len(trace.records) - 1 > 0
+    assert np.isnan(last.residual)
+    assert last.err_sum == 0.0
+    assert all(np.isfinite(r.residual) for r in trace.records[:-1])
+
+
 def test_iterate_single_subspace_state():
     rng = trial_rng(SEED + 9)
     a = rng.standard_normal((6, 6))

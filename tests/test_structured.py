@@ -3,6 +3,7 @@ import pytest
 
 from grqi import (
     DegeneratePencilError,
+    DimensionMismatchError,
     EHermitian,
     ESkewHermitian,
     GeneralizedHermitian,
@@ -424,6 +425,16 @@ def test_pencil_identity_b_reduces_to_plain_two_sided():
     out_plain, _ = tsgrqi_step(prob.matrix, SubspacePair(left=yl, right=yr))
     assert largest_principal_angle(out_pencil.right, out_plain.right) <= 1e-9
     assert largest_principal_angle(out_pencil.hatted_left, out_plain.left) <= 1e-9
+
+
+def test_pencil_pair_is_a_subspace_pair():
+    e = np.eye(4)
+    pair = PencilPair(hatted_left=Subspace(e[:, :2]), right=Subspace(e[:, 2:]))
+    assert isinstance(pair, SubspacePair)
+    assert pair.hatted_left is pair.left
+    assert (pair.n, pair.p) == (4, 2)
+    with pytest.raises(DimensionMismatchError):
+        PencilPair(hatted_left=Subspace(e[:, :3]), right=Subspace(e[:, 3:]))
 
 
 def test_pencil_matches_generalized_hermitian_step():
