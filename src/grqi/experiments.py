@@ -34,12 +34,7 @@ from .iterations import (
     tsgrqi_step,
 )
 from .kernels import Subspace, orthonormalize, residual_angle
-from .structured import (
-    apply_j,
-    full_eigenspace_targets,
-    hamiltonian_step,
-    j_matrix,
-)
+from .structured import _mirror_groups, apply_j, hamiltonian_step
 from .testgen import (
     eigenspace_pair_oracle,
     nearby_subspace,
@@ -211,9 +206,11 @@ _STUDY_KINDS = {"table1": "diagonalizable", "hamiltonian": "hamiltonian"}
 
 def _e_pair(y: Subspace, e: np.ndarray | None = None) -> SubspacePair:
     """The one-sided iterate with its structure-implied left side
-    span(E Y), where E is J when ``e`` is None."""
-    left = apply_j(y.basis) if e is None else e @ y.basis
-    return SubspacePair(left=orthonormalize(left), right=y)
+    span(E Y), where E is J when ``e`` is None.  J only moves rows and
+    flips their signs, so J Y is already orthonormal."""
+    if e is None:
+        return SubspacePair(left=Subspace(apply_j(y.basis)), right=y)
+    return SubspacePair(left=orthonormalize(e @ y.basis), right=y)
 
 
 def _instance(kind, n, p, seed, trial, delta):
@@ -238,17 +235,17 @@ def _instance(kind, n, p, seed, trial, delta):
         c, e = random_e_hermitian(n, rng)
         # Real spectrum: no mirror pairing, target the top-modulus group.
         left, right, _ = eigenspace_pair_oracle(c, select_top_modulus(p))
+        oracle = SubspacePair(left=left, right=right)
     else:
         if kind == "hamiltonian":
             c, e = random_hamiltonian(n, rng), None
         else:
             c, e = random_e_skew_hermitian(n, rng)
-        target = full_eigenspace_targets(
-            c, j_matrix(n) if e is None else e, conjugate_closed=e is None
-        )[0]
-        left, right = target.left, target.right
-    start = _e_pair(nearby_subspace(right, delta, rng), e)
-    return c, e, SubspacePair(left=left, right=right), start
+        # The target is the first group, so only its basis is built.
+        _, s, groups = _mirror_groups(c, e is None)
+        oracle = _e_pair(orthonormalize(s[:, groups[0]]), e)
+    start = _e_pair(nearby_subspace(oracle.right, delta, rng), e)
+    return c, e, oracle, start
 
 
 def _study_trial(args) -> tuple[IterationTrace, int]:

@@ -72,12 +72,15 @@ class Subspace:
             )
         if not np.all(np.isfinite(b)):
             raise ValueError("subspace basis has nonfinite entries")
-        gram = b.conj().T @ b
-        defect = np.linalg.norm(gram - np.eye(p), 2)
-        if defect > _ORTHO_RTOL * np.sqrt(p):
-            raise ValueError(
-                f"basis is not orthonormal: ||B^H B - I|| = {defect:.3e}"
-            )
+        gap = b.conj().T @ b - np.eye(p)
+        bound = _ORTHO_RTOL * np.sqrt(p)
+        # ||.||_2 <= ||.||_F, so the spectral norm is needed only to reject.
+        if np.linalg.norm(gap) > bound:
+            defect = np.linalg.norm(gap, 2)
+            if defect > bound:
+                raise ValueError(
+                    f"basis is not orthonormal: ||B^H B - I|| = {defect:.3e}"
+                )
         object.__setattr__(self, "basis", b)
 
     @property
@@ -204,49 +207,17 @@ def residual_angle(c: np.ndarray, y: Subspace) -> float:
     return largest_principal_angle(y, image)
 
 
-def _eig2(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form eigendecomposition of a 2x2 matrix."""
-    a, b = complex(r[0, 0]), complex(r[0, 1])
-    c, d = complex(r[1, 0]), complex(r[1, 1])
-    scale = max(abs(a), abs(b), abs(c), abs(d))
-    # Near-scalar block: the roots coincide but the matrix is not
-    # defective, so any basis diagonalizes it; the generic formula below
-    # would return two nearly parallel vectors here.
-    if max(abs(b), abs(c), abs(a - d)) <= 1e-12 * scale:
-        return np.eye(2, dtype=complex), np.array([a, d], dtype=complex)
-    tr = a + d
-    det = a * d - b * c
-    disc = np.sqrt(complex((a - d) ** 2 + 4.0 * b * c))
-    # Orient the root so tr + disc does not cancel.
-    if (np.conj(tr) * disc).real < 0.0:
-        disc = -disc
-    l1 = (tr + disc) / 2.0
-    l2 = det / l1 if l1 != 0.0 else (tr - disc) / 2.0
-    vals = np.array([l1, l2], dtype=complex)
-    vecs = np.empty((2, 2), dtype=complex)
-    for j, lam in enumerate(vals):
-        v1 = np.array([b, lam - a])
-        v2 = np.array([lam - d, c])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            # Diagonal block: the eigenvector is a coordinate axis.
-            v = np.array([1.0, 0.0]) if j == 0 else np.array([0.0, 1.0])
-            if abs(lam - d) < abs(lam - a):
-                v = v[::-1]
-            nv = 1.0
-        vecs[:, j] = v / nv
-    return vecs, vals
-
-
 def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
     """Eigendecomposition of a small (p x p) shift block.
 
-    For p <= 2 closed forms are used; larger blocks go through the dense
-    nonsymmetric eigensolver.  The condition number of the eigenvector
-    matrix is always reported; when ``strict`` is set and it exceeds
-    1e8 a :class:`~grqi.errors.NearDefectiveError` is raised
-    instead of proceeding.
+    Blocks with p >= 2 go through the dense nonsymmetric eigensolver.  A
+    block within 1e-12 max|r| of a scalar matrix is not defective, so any
+    basis diagonalizes it: it gets the identity basis and its diagonal as
+    shifts, where the solver would return nearly parallel vectors.  The
+    condition number of the eigenvector matrix is always reported; when
+    ``strict`` is set and it exceeds 1e8 a
+    :class:`~grqi.errors.NearDefectiveError` is raised instead of
+    proceeding.
     """
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -257,13 +228,15 @@ def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
         vals = np.array([complex(r[0, 0])])
         cond = 1.0
     else:
-        if p == 2:
-            w, vals = _eig2(r)
-        else:
-            vals, w = np.linalg.eig(r)
-            w = np.asarray(w, dtype=complex)
-            vals = np.asarray(vals, dtype=complex)
+        vals, w = np.linalg.eig(r)
+        w = np.asarray(w, dtype=complex)
+        vals = np.asarray(vals, dtype=complex)
         cond = float(np.linalg.cond(w))
+        if cond > _DEFECTIVE_COND:
+            off_scalar = np.abs(r - r[0, 0] * np.eye(p)).max()
+            if off_scalar <= 1e-12 * np.abs(r).max():
+                w, cond = np.eye(p, dtype=complex), 1.0
+                vals = np.diag(r).astype(complex)
     if strict and cond > _DEFECTIVE_COND:
         raise NearDefectiveError(
             f"eigenvector basis of the shift block has condition {cond:.3e} "

@@ -299,6 +299,17 @@ class TargetGroup(NamedTuple):
     left: Subspace | None
 
 
+def _mirror_groups(c: np.ndarray, conjugate_closed: bool):
+    """Eigenvalues, eigenvector matrix and mirror-symmetric groups (index
+    arrays) of ``c``, in descending order of largest absolute real part;
+    only the groups a caller keeps need their bases orthonormalized."""
+    values, s = _checked_eig(c)
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
+    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
+    groups.sort(key=lambda g: -float(np.abs(values[g].real).max()))
+    return values, s, groups
+
+
 def full_eigenspace_targets(
     c: np.ndarray,
     e=None,
@@ -320,12 +331,10 @@ def full_eigenspace_targets(
     descending order of largest absolute real part.
     """
     c = np.asarray(c)
-    values, s = _checked_eig(c)
     if conjugate_closed is None:
         conjugate_closed = bool(np.isrealobj(c))
+    values, s, groups = _mirror_groups(c, conjugate_closed)
     apply_e = _as_operator(e) if e is not None else None
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
-    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
     out = []
     for g in groups:
         right = orthonormalize(s[:, g])
@@ -335,7 +344,6 @@ def full_eigenspace_targets(
             else None
         )
         out.append(TargetGroup(values[g], right, left))
-    out.sort(key=lambda t: -float(np.abs(t.eigenvalues.real).max()))
     return out
 
 

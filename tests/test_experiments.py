@@ -12,7 +12,10 @@ from grqi import (
     MissingOracleError,
     NearDefectiveError,
     format_table,
+    full_eigenspace_targets,
     hamiltonian_success,
+    j_matrix,
+    largest_principal_angle,
     read_traces,
     run_hamiltonian,
     run_table1,
@@ -21,6 +24,7 @@ from grqi import (
     write_summary,
     write_traces,
 )
+from grqi.experiments import _instance
 
 
 def records_match(a, b):
@@ -286,6 +290,38 @@ def test_hamiltonian_workers_determinism():
     assert summary_json(s1) == summary_json(s2)
 
 
+def test_hamiltonian_trial_qr_budget(monkeypatch):
+    # One trial factors 24 bases: two for the start, one for the target,
+    # one per step and one per residual.  Orthonormalizing J Y or the
+    # groups the study does not target would push it past 25.
+    calls = []
+    qr = np.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    trials = 20
+    run_hamiltonian(
+        ExperimentConfig(experiment="hamiltonian", n=20, trials=trials, seed=3)
+    )
+    assert len(calls) <= 25 * trials
+
+
+@pytest.mark.parametrize("kind", ["hamiltonian", "e-skew-hermitian"])
+@pytest.mark.parametrize(
+    "seed, trial", [(0, 0), (3, 7), (11, 42), (5023667284082138044, 65)]
+)
+def test_instance_targets_first_full_eigenspace_group(kind, seed, trial):
+    c, e, oracle, _ = _instance(kind, 20, 2, seed, trial, 0.1)
+    target = full_eigenspace_targets(
+        c, j_matrix(20) if e is None else e, conjugate_closed=e is None
+    )[0]
+    assert np.array_equal(oracle.right.basis, target.right.basis)
+    assert largest_principal_angle(oracle.left, target.left) <= 1e-14
+
+
 def check_build_failures_recorded(
     tmp_path, monkeypatch, patched, runner, cfg
 ):
@@ -315,7 +351,7 @@ def check_build_failures_recorded(
 def test_hamiltonian_target_failure_is_recorded(tmp_path, monkeypatch):
     cfg = ExperimentConfig(experiment="hamiltonian", n=8, p=2, trials=3)
     check_build_failures_recorded(
-        tmp_path, monkeypatch, "full_eigenspace_targets", run_hamiltonian, cfg
+        tmp_path, monkeypatch, "_mirror_groups", run_hamiltonian, cfg
     )
 
 

@@ -44,6 +44,21 @@ def test_subspace_rejects_non_orthonormal():
         Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("excess, accepted", [(1.5e-12, True), (3e-12, False)])
+def test_subspace_orthonormality_bound_is_spectral(excess, accepted):
+    # B^H B - I = excess * I: its Frobenius norm 2 * excess lies above the
+    # bound 1e-12 * sqrt(4) in both cases, its spectral norm only in the
+    # second.
+    q = np.linalg.qr(np.random.default_rng(SEED).standard_normal((10, 4)))[0]
+    b = q * np.sqrt(1.0 + excess)
+    if accepted:
+        assert Subspace(b).basis is b
+    else:
+        message = r"basis is not orthonormal: \|\|B\^H B - I\|\| = 3\.0"
+        with pytest.raises(ValueError, match=message):
+            Subspace(b)
+
+
 def test_subspace_rejects_wide_basis():
     with pytest.raises(DimensionMismatchError):
         Subspace(np.eye(2, 3))
@@ -221,6 +236,16 @@ def test_small_eig_identity():
     bs = small_eig(np.eye(2))
     assert np.allclose(sorted(bs.shifts.real), [1.0, 1.0])
     assert bs.cond == pytest.approx(1.0)
+
+
+def test_small_eig_near_scalar_block_gets_identity_basis():
+    # The solver's basis for this block has condition about 8e9; any basis
+    # diagonalizes a near-scalar block, so strict mode must not refuse it.
+    r = 2.0 * np.eye(5) + 1e-13 * np.eye(5, k=1)
+    bs = small_eig(r, strict=True)
+    assert np.array_equal(bs.eigvecs, np.eye(5))
+    assert bs.cond == 1.0
+    assert np.array_equal(bs.shifts, np.full(5, 2.0 + 0j))
 
 
 def test_small_eig_diag():
