@@ -25,11 +25,15 @@ from .errors import (
 )
 from .kernels import (
     Subspace,
+    _adjoint,
+    _extremes,
+    _first_failures,
+    _orthonormal_stack,
+    _raise_first,
+    _small_eig_stack,
     largest_principal_angle,
     orthonormalize,
     shifted_solve,
-    small_eig,
-    solve_eps,
     sylvester_solve,
 )
 
@@ -174,68 +178,154 @@ def _check_hermitian(a: np.ndarray) -> None:
     )
 
 
-def _solve_columns(a, shifts, rhs, eps, *, left=None, b=None):
-    """Solve (A - shifts[i] B) z = rhs[:, i] for every i (B = I when
-    absent), and the adjoint systems with right-hand sides ``left`` on
-    the same factors; orthonormalize the solutions.
+def _stacked_solves(a, shifts, sides, z) -> list:
+    """Solve every (trial, shift) system of the (k, n, n) stack ``a`` with
+    one ``np.linalg.solve`` per side and arithmetic, writing column i of
+    ``z[side][t]``.  A system is real, as in :func:`shifted_solve`, when
+    its matrix, shift and right-hand sides are.  Returns the systems
+    (t, i) that were singular or gave nonfinite entries, unsolved."""
+    real = (shifts.imag == 0.0) & ~np.any(a.imag, axis=(1, 2))[:, None]
+    for x in sides:
+        real &= ~np.any(x.imag, axis=1)
+    diag = np.arange(a.shape[-1])
+    failed = np.zeros(real.shape, dtype=bool)
+    for is_real in (True, False):
+        t, i = np.nonzero(real == is_real)
+        if not t.size:
+            continue
+        rho = shifts[t, i].real if is_real else shifts[t, i]
+        m = a[t].real if is_real else a[t].astype(np.complex128)
+        m[:, diag, diag] -= rho[:, None]
+        for side, (rhs, out) in enumerate(zip(sides, z)):
+            x = rhs[t, :, i]
+            x = x.real if is_real else x
+            sol = _solve_each(_adjoint(m) if side else m, x)
+            ok = np.isfinite(sol).all(axis=1)
+            out[t[ok], :, i[ok]] = sol[ok]
+            failed[t[~ok], i[~ok]] = True
+    return list(zip(*np.nonzero(failed)))
 
-    Returns ``(right, left or None, perturbed)``.
+
+def _solve_each(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Solutions of m[j] z = x[j] for a stack of systems, NaN for the
+    exactly singular ones: one of them makes the stacked call raise, and
+    then each system is solved alone."""
+    try:
+        return np.linalg.solve(m, x[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full(x.shape, np.nan, dtype=np.result_type(m, x))
+        for j in range(len(m)):
+            try:
+                out[j] = np.linalg.solve(m[j], x[j])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _solve_columns(a, shifts, rhs, *, left=None, b=None, failures=None):
+    """Solve (A - shifts[t, i] B) z = rhs[t, :, i] for every trial t and
+    shift i (B = I when absent), and the adjoint systems with right-hand
+    sides ``left`` on the same matrices; orthonormalize the solutions.
+
+    One (n, n) problem keeps one LU per shift for both sides through
+    :func:`shifted_solve`; ``b`` is only taken with it.  A (k, n, n)
+    stack is solved in stacked calls, and only its singular or nonfinite
+    systems go through :func:`shifted_solve`, which perturbs the shift.
+    Trials that already carry a failure are not solved one by one.
+    Returns ``(right, left or None, perturbed, failures)`` with one entry
+    per trial in the last two.
     """
-    n, p = rhs.shape
+    k, n, p = rhs.shape
+    sides = [rhs] if left is None else [rhs, left]
     dtype = np.promote_types(a.dtype, rhs.dtype)
-    z_r = np.empty((n, p), dtype=dtype)
-    z_l = None if left is None else np.empty((n, p), dtype=dtype)
-    perturbed = False
-    for i in range(p):
-        out = shifted_solve(
-            a, shifts[i], rhs[:, i], eps,
-            left=None if left is None else left[:, i], pencil_b=b,
-        )
-        z_r[:, i] = out[0]
-        perturbed |= out[1]
-        if left is not None:
-            z_l[:, i] = out[2]
-            perturbed |= out[3]
-    left_out = None if left is None else orthonormalize(z_l)
-    return orthonormalize(z_r), left_out, perturbed
+    z = [np.zeros((k, n, p), dtype=dtype) for _ in sides]
+    if a.ndim == 2:
+        todo = [(t, i) for t in range(k) for i in range(p)]
+    else:
+        todo = _stacked_solves(a, shifts, sides, z)
+    perturbed = [False] * k
+    failures = [None] * k if failures is None else list(failures)
+    for t, i in todo:
+        if failures[t] is not None:
+            continue
+        try:
+            out = shifted_solve(
+                a if a.ndim == 2 else a[t], shifts[t, i], rhs[t, :, i],
+                left=None if left is None else left[t, :, i], pencil_b=b,
+            )
+        except GrqiError as exc:
+            failures[t] = exc
+            continue
+        for side, out_z in enumerate(z):
+            out_z[t, :, i] = out[2 * side]
+            perturbed[t] = perturbed[t] or out[2 * side + 1]
+    left_q = None
+    if left is not None:
+        left_q, rank_failures = _orthonormal_stack(z[1])
+        failures = _first_failures(failures, rank_failures)
+    right_q, rank_failures = _orthonormal_stack(z[0])
+    return right_q, left_q, perturbed, _first_failures(failures, rank_failures)
 
 
 def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
     """The block Rayleigh quotient step behind every non-Hermitian block
-    step, on orthonormal bases ``yl``, ``yr`` (arrays).
+    step, on stacks ``yl``, ``yr`` of k orthonormal n-by-p bases (arrays)
+    and ``a`` either one (n, n) matrix or a (k, n, n) stack.
 
     With B and the operator E taken as the identity when absent, the
     quotient G^{-1} Yl^H E(A Yr), G = Yl^H E(B Yr), is diagonalized as
     W diag(rho) W^{-1}.  The right update solves
     (A - rho_i B) z = (B Yr) W e_i; a two-sided step also solves the
-    adjoint system (A - rho_i B)^H z = B^H Yl (G W)^{-H} e_i from the
-    same LU.  Returns ``(right, left or None, StepDiagnostics)``.
+    adjoint system (A - rho_i B)^H z = B^H Yl (G W)^{-H} e_i.  Returns
+    ``(right, left or None, perturbed, shift_cond, failures)``: stacked
+    bases, per-trial diagnostics, and per trial the first error of its
+    step or None.  A failed trial goes on with stand-ins (identity Gram
+    matrix and eigenvector basis), so it cannot fail the others; its
+    bases are junk.
     """
-    yl_h = yl.conj().T
+    k, _, p = yr.shape
+    yl_h = _adjoint(yl)
     byr = yr if b is None else b @ yr
     gram = yl_h @ (byr if e is None else e(byr))
     sv = np.linalg.svd(gram, compute_uv=False)
-    if sv[-1] <= _GRAM_TOL * max(1.0, sv[0]):
-        raise GramSingularError(
-            f"cross Gram matrix Yl^H E(B Yr) is numerically singular "
-            f"(sigma_min = {sv[-1]:.3e})"
-        )
+    failures = [None] * k
+    for t, (top, bottom) in enumerate(_extremes(sv)):
+        if bottom <= _GRAM_TOL * max(1.0, top):
+            failures[t] = GramSingularError(
+                f"cross Gram matrix Yl^H E(B Yr) is numerically singular "
+                f"(sigma_min = {bottom:.3e})"
+            )
+            gram[t] = np.eye(p)
     ayr = a @ yr
     quotient = np.linalg.solve(gram, yl_h @ (ayr if e is None else e(ayr)))
-    block = small_eig(quotient, strict=bool(cfg and cfg.strict_defective))
-    w = block.eigvecs
+    strict = bool(cfg and cfg.strict_defective)
+    shifts, w, cond, eig_failures = _small_eig_stack(quotient, strict)
+    failures = _first_failures(failures, eig_failures)
+    for t, failure in enumerate(failures):
+        if failure is not None:
+            w[t] = np.eye(p)
     rhs_l = None
     if two_sided:
-        rhs_l = yl @ np.linalg.inv(gram @ w).conj().T
+        rhs_l = yl @ _adjoint(np.linalg.inv(gram @ w))
         if b is not None:
-            rhs_l = b.conj().T @ rhs_l
-    eps = solve_eps(a)
-    right, left, perturbed = _solve_columns(
-        a, block.shifts, byr @ w, eps, left=rhs_l, b=b
+            rhs_l = _adjoint(b) @ rhs_l
+    right, left, perturbed, failures = _solve_columns(
+        a, shifts, byr @ w, left=rhs_l, b=b, failures=failures
     )
-    return right, left, StepDiagnostics(
-        perturbed=perturbed, shift_cond=block.cond
+    return right, left, perturbed, cond, failures
+
+
+def _one_step(a, yl, yr, cfg, **kwargs):
+    """:func:`_rayleigh_step` on one problem: raise its failure, else
+    return ``(right, left or None, StepDiagnostics)`` as subspaces."""
+    right, left, perturbed, cond, failures = _rayleigh_step(
+        a, yl[None], yr[None], cfg, **kwargs
     )
+    _raise_first(failures)
+    if left is not None:
+        left = Subspace(left[0])
+    diag = StepDiagnostics(perturbed=perturbed[0], shift_cond=cond[0])
+    return Subspace(right[0]), left, diag
 
 
 def rqi_step(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -294,10 +384,14 @@ def grqi_step(
     rayleigh = y.basis.conj().T @ (a @ y.basis)
     rayleigh = (rayleigh + rayleigh.conj().T) / 2.0
     shifts, w = np.linalg.eigh(rayleigh)
-    eps = solve_eps(a)
-    out, _, perturbed = _solve_columns(a, shifts, y.basis @ w, eps)
+    right, _, perturbed, failures = _solve_columns(
+        a, shifts[None], (y.basis @ w)[None]
+    )
+    _raise_first(failures)
+    out = Subspace(right[0])
     if full_output:
-        return out, StepDiagnostics(perturbed=perturbed, shift_cond=1.0)
+        diag = StepDiagnostics(perturbed=perturbed[0], shift_cond=1.0)
+        return out, diag
     return out
 
 
@@ -373,7 +467,7 @@ def tsgrqi_step(
         raise DimensionMismatchError(
             f"matrix is {c.shape}, expected {(pair.n, pair.n)}"
         )
-    right, left, diag = _rayleigh_step(
+    right, left, diag = _one_step(
         c, pair.left.basis, pair.right.basis, cfg, two_sided=True
     )
     return SubspacePair(left=left, right=right), diag
@@ -445,44 +539,6 @@ def _oracle_record(state, oracle, index, residual, diag) -> IterationRecord:
     )
 
 
-def _run_steps(
-    step, state, steps, residual=None, oracle=None, angle_tol=None
-) -> IterationTrace:
-    """Record ``state`` and the iterates of at most ``steps`` steps, as
-    :func:`iterate` describes; without ``angle_tol`` every step is taken,
-    even past convergence."""
-    trace = IterationTrace()
-    prev, diag, failure = None, StepDiagnostics(), None
-    for k in range(steps + 1):
-        try:
-            res = float("nan") if residual is None else float(residual(state))
-        except GrqiError as exc:
-            res, failure = float("nan"), exc
-        trace.records.append(_oracle_record(state, oracle, k, res, diag))
-        if failure is not None:
-            break
-        if (
-            angle_tol is not None
-            and prev is not None
-            and _state_angle(prev, state) <= angle_tol
-            and (np.isnan(res) or res <= angle_tol)
-        ):
-            trace.status = CONVERGED
-            break
-        if k == steps:
-            break
-        try:
-            nxt, diag = step(state)
-        except GrqiError as exc:
-            failure = exc
-            break
-        prev, state = state, nxt
-    if failure is not None:
-        trace.status = FAILURE
-        trace.failure_reason = f"{type(failure).__name__}: {failure}"
-    return trace
-
-
 def iterate(
     step,
     start,
@@ -506,6 +562,32 @@ def iterate(
     keeps its row, with a NaN residual.
     """
     cfg = cfg or StepConfig()
-    return _run_steps(
-        step, start, cfg.max_iters, residual, oracle, cfg.angle_tol
-    )
+    trace = IterationTrace()
+    state, prev, diag, failure = start, None, StepDiagnostics(), None
+    for k in range(cfg.max_iters + 1):
+        try:
+            res = float("nan") if residual is None else float(residual(state))
+        except GrqiError as exc:
+            res, failure = float("nan"), exc
+        trace.records.append(_oracle_record(state, oracle, k, res, diag))
+        if failure is not None:
+            break
+        if (
+            prev is not None
+            and _state_angle(prev, state) <= cfg.angle_tol
+            and (np.isnan(res) or res <= cfg.angle_tol)
+        ):
+            trace.status = CONVERGED
+            break
+        if k == cfg.max_iters:
+            break
+        try:
+            nxt, diag = step(state)
+        except GrqiError as exc:
+            failure = exc
+            break
+        prev, state = state, nxt
+    if failure is not None:
+        trace.status = FAILURE
+        trace.failure_reason = f"{type(failure).__name__}: {failure}"
+    return trace

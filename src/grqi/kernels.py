@@ -10,6 +10,7 @@ guard.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +71,7 @@ class Subspace:
             raise DimensionMismatchError(
                 f"subspace basis must be n-by-p with 1 <= p <= n, got {n}x{p}"
             )
-        if not np.all(np.isfinite(b)):
-            raise ValueError("subspace basis has nonfinite entries")
-        gap = b.conj().T @ b - np.eye(p)
-        bound = _ORTHO_RTOL * np.sqrt(p)
-        # ||.||_2 <= ||.||_F, so the spectral norm is needed only to reject.
-        if np.linalg.norm(gap) > bound:
-            defect = np.linalg.norm(gap, 2)
-            if defect > bound:
-                raise ValueError(
-                    f"basis is not orthonormal: ||B^H B - I|| = {defect:.3e}"
-                )
+        _check_orthonormal(b[None])
         object.__setattr__(self, "basis", b)
 
     @property
@@ -111,6 +102,79 @@ class BlockShift:
         return self.shifts.shape[0]
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix of a stack."""
+    return x.conj().swapaxes(-1, -2)
+
+
+def _extremes(sv: np.ndarray):
+    """(largest, smallest) singular value of each matrix of a stack, as
+    Python floats: per-matrix rules decide on them in plain arithmetic,
+    which rounds as numpy does and costs less than array calls on the
+    stacks of one that the public functions make."""
+    return zip(sv[:, 0].tolist(), sv[:, -1].tolist())
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    """The basis rule of :class:`Subspace` on every n-by-p matrix of the
+    stack ``b``: finite entries and ||B^H B - I||_2 <= 1e-12 sqrt(p).
+    Raises ``ValueError`` for the first matrix that breaks it."""
+    if not np.all(np.isfinite(b)):
+        raise ValueError("subspace basis has nonfinite entries")
+    p = b.shape[-1]
+    gap = _adjoint(b) @ b - np.eye(p)
+    bound = _ORTHO_RTOL * math.sqrt(p)
+    # ||.||_2 <= ||.||_F, and no matrix's Frobenius norm exceeds the whole
+    # stack's, so norms per matrix are needed only to reject.
+    if np.linalg.norm(gap) <= bound:
+        return
+    over = np.linalg.norm(gap, axis=(-2, -1)) > bound
+    defect = np.linalg.norm(gap[over], 2, axis=(-2, -1))
+    if np.any(defect > bound):
+        raise ValueError(
+            f"basis is not orthonormal: ||B^H B - I|| = "
+            f"{defect[defect > bound][0]:.3e}"
+        )
+
+
+def _orthonormal_stack(z: np.ndarray):
+    """Economy QR of every n-by-p matrix of the stack ``z`` under the rank
+    rule of :func:`orthonormalize`.  Returns ``(q, failures)``, where
+    ``failures[t]`` is the :class:`~grqi.errors.RankDeficientError` of
+    matrix t or None; a failed matrix gets a finite stand-in basis, so it
+    cannot fail the others."""
+    k, n, p = z.shape
+    failures = [None] * k
+    if not np.all(np.isfinite(z)):
+        finite = np.isfinite(z).all(axis=(1, 2))
+        z = np.where(finite[:, None, None], z, np.eye(n, p))
+        for t in np.flatnonzero(~finite):
+            failures[t] = RankDeficientError("matrix has nonfinite entries")
+    q, r = np.linalg.qr(z)
+    # Singular values of z equal those of the triangular factor.
+    sv = np.linalg.svd(r, compute_uv=False)
+    tol = n * p * _RANK_RTOL
+    for t, (top, bottom) in enumerate(_extremes(sv)):
+        if (top == 0.0 or bottom <= tol * top) and failures[t] is None:
+            ratio = 0.0 if top == 0.0 else bottom / top
+            failures[t] = RankDeficientError(
+                f"columns are numerically rank deficient "
+                f"(sigma_min/sigma_max = {ratio:.3e})"
+            )
+    return q, failures
+
+
+def _raise_first(failures) -> None:
+    """Raise the failure of the one problem of a stacked call, if any."""
+    if failures[0] is not None:
+        raise failures[0]
+
+
+def _first_failures(earlier: list, later: list) -> list:
+    """Per trial, the failure of an earlier stage, else of a later one."""
+    return [f if f is not None else g for f, g in zip(earlier, later)]
+
+
 def orthonormalize(z: np.ndarray) -> Subspace:
     """Return the subspace spanned by the columns of ``z``.
 
@@ -127,17 +191,9 @@ def orthonormalize(z: np.ndarray) -> Subspace:
         raise DimensionMismatchError(
             f"cannot orthonormalize a {n}x{p} matrix: need 1 <= p <= n"
         )
-    if not np.all(np.isfinite(z)):
-        raise RankDeficientError("matrix has nonfinite entries")
-    q, r = np.linalg.qr(z)
-    # Singular values of z equal those of the triangular factor.
-    sv = np.linalg.svd(r, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= n * p * _RANK_RTOL * sv[0]:
-        raise RankDeficientError(
-            f"columns are numerically rank deficient (sigma_min/sigma_max = "
-            f"{0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.3e})"
-        )
-    return Subspace(q)
+    q, failures = _orthonormal_stack(z[None])
+    _raise_first(failures)
+    return Subspace(q[0])
 
 
 def _check_same_shape(u: Subspace, v: Subspace) -> None:
@@ -145,6 +201,26 @@ def _check_same_shape(u: Subspace, v: Subspace) -> None:
         raise DimensionMismatchError(
             f"subspaces have mismatched shapes {u.n}x{u.p} vs {v.n}x{v.p}"
         )
+
+
+def _principal_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Largest principal angle between span(u[t]) and span(v[t]) for every
+    pair of orthonormal bases of two equal-shape stacks."""
+    g = _adjoint(u) @ v
+    cos = np.minimum(np.linalg.svd(g, compute_uv=False)[:, -1], 1.0)
+    # The cosine cannot resolve angles below about sqrt(eps): those go
+    # through the sine of the part of v orthogonal to u.
+    near = [c * c > 0.5 for c in cos.tolist()]
+    if not any(near):
+        return np.arccos(cos)
+    if not all(near):
+        u, v, g = u[near], v[near], g[near]
+    sine = np.minimum(np.linalg.svd(v - u @ g, compute_uv=False)[:, 0], 1.0)
+    if all(near):
+        return np.arcsin(sine)
+    angle = np.arccos(cos)
+    angle[near] = np.arcsin(sine)
+    return angle
 
 
 def largest_principal_angle(u: Subspace, v: Subspace) -> float:
@@ -157,14 +233,7 @@ def largest_principal_angle(u: Subspace, v: Subspace) -> float:
     other), which is accurate down to the underflow threshold.
     """
     _check_same_shape(u, v)
-    g = u.basis.conj().T @ v.basis
-    sv = np.linalg.svd(g, compute_uv=False)
-    c = min(float(sv[-1]), 1.0)
-    if c * c <= 0.5:
-        return float(np.arccos(c))
-    w = v.basis - u.basis @ g
-    s = np.linalg.svd(w, compute_uv=False)[0]
-    return float(np.arcsin(min(float(s), 1.0)))
+    return float(_principal_angles(u.basis[None], v.basis[None])[0])
 
 
 def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
@@ -192,6 +261,15 @@ def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.arctan2(s, c))
 
 
+def _residual_angles(c: np.ndarray, y: np.ndarray):
+    """:func:`residual_angle` for every matrix of a stack: ``c`` is
+    (k, n, n) or one (n, n) matrix, ``y`` (k, n, p) orthonormal bases.
+    Returns ``(angles, failures)`` as :func:`_orthonormal_stack` does."""
+    image, failures = _orthonormal_stack(c @ y)
+    _check_orthonormal(image)
+    return _principal_angles(y, image), failures
+
+
 def residual_angle(c: np.ndarray, y: Subspace) -> float:
     """Largest principal angle between span(Y) and span(C Y).
 
@@ -203,8 +281,43 @@ def residual_angle(c: np.ndarray, y: Subspace) -> float:
         raise DimensionMismatchError(
             f"matrix is {c.shape}, expected {(y.n, y.n)}"
         )
-    image = orthonormalize(c @ y.basis)
-    return largest_principal_angle(y, image)
+    angles, failures = _residual_angles(c, y.basis[None])
+    _raise_first(failures)
+    return float(angles[0])
+
+
+def _small_eig_stack(r: np.ndarray, strict: bool = False):
+    """:func:`small_eig` for a (k, p, p) stack of blocks.  Returns
+    ``(shifts, eigvecs, cond, failures)`` with ``failures[t]`` the
+    :class:`~grqi.errors.NearDefectiveError` of block t under ``strict``,
+    else None."""
+    k, p, _ = r.shape
+    if p == 1:
+        w = np.ones((k, 1, 1), dtype=complex)
+        vals = r[:, 0, :].astype(complex)
+        cond = [1.0] * k
+    else:
+        vals, w = np.linalg.eig(r)
+        w = np.asarray(w, dtype=complex)
+        vals = np.asarray(vals, dtype=complex)
+        # sigma_max / sigma_min, infinite for a singular basis.
+        sv = np.linalg.svd(w, compute_uv=False)
+        cond = [top / bottom if bottom else math.inf
+                for top, bottom in _extremes(sv)]
+        for t in range(k):
+            if cond[t] > _DEFECTIVE_COND:
+                off_scalar = np.abs(r[t] - r[t, 0, 0] * np.eye(p)).max()
+                if off_scalar <= 1e-12 * np.abs(r[t]).max():
+                    w[t], cond[t] = np.eye(p), 1.0
+                    vals[t] = np.diag(r[t])
+    failures = [None] * k
+    for t, c in enumerate(cond):
+        if strict and c > _DEFECTIVE_COND:
+            failures[t] = NearDefectiveError(
+                f"eigenvector basis of the shift block has condition "
+                f"{c:.3e} > {_DEFECTIVE_COND:.1e}"
+            )
+    return vals, w, cond, failures
 
 
 def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
@@ -222,27 +335,9 @@ def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatchError(f"expected a square block, got {r.shape}")
-    p = r.shape[0]
-    if p == 1:
-        w = np.ones((1, 1), dtype=complex)
-        vals = np.array([complex(r[0, 0])])
-        cond = 1.0
-    else:
-        vals, w = np.linalg.eig(r)
-        w = np.asarray(w, dtype=complex)
-        vals = np.asarray(vals, dtype=complex)
-        cond = float(np.linalg.cond(w))
-        if cond > _DEFECTIVE_COND:
-            off_scalar = np.abs(r - r[0, 0] * np.eye(p)).max()
-            if off_scalar <= 1e-12 * np.abs(r).max():
-                w, cond = np.eye(p, dtype=complex), 1.0
-                vals = np.diag(r).astype(complex)
-    if strict and cond > _DEFECTIVE_COND:
-        raise NearDefectiveError(
-            f"eigenvector basis of the shift block has condition {cond:.3e} "
-            f"> {_DEFECTIVE_COND:.1e}"
-        )
-    return BlockShift(eigvecs=w, shifts=vals, cond=cond)
+    vals, w, cond, failures = _small_eig_stack(r[None], strict)
+    _raise_first(failures)
+    return BlockShift(eigvecs=w[0], shifts=vals[0], cond=cond[0])
 
 
 def solve_eps(c: np.ndarray, scale: float = 1e3) -> float:

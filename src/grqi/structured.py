@@ -26,7 +26,7 @@ from .iterations import (
     StepConfig,
     StepDiagnostics,
     SubspacePair,
-    _rayleigh_step,
+    _one_step,
 )
 from .kernels import Subspace, orthonormalize
 from .testgen import _checked_eig, group_mirror_eigenvalues
@@ -145,13 +145,16 @@ class StructureCheck(NamedTuple):
 
 def apply_j(x: np.ndarray) -> np.ndarray:
     """Apply the block symplectic form J = [[0, I], [-I, 0]] without
-    materializing it: O(np) row swap with sign."""
+    materializing it: O(np) row swap with sign.  ``x`` is a vector, a
+    matrix or a stack of matrices, mapped matrix by matrix."""
     x = np.asarray(x)
-    n = x.shape[0]
+    n = x.shape[0] if x.ndim == 1 else x.shape[-2]
     if n % 2 != 0:
         raise OddDimensionError(f"J needs even dimension, got {n}")
     h = n // 2
-    return np.concatenate([x[h:], -x[:h]], axis=0)
+    if x.ndim == 1:
+        return np.concatenate([x[h:], -x[:h]])
+    return np.concatenate([x[..., h:, :], -x[..., :h, :]], axis=-2)
 
 
 def j_matrix(n: int) -> np.ndarray:
@@ -238,9 +241,7 @@ def one_sided_step(
         raise DimensionMismatchError(
             f"matrix is {c.shape}, expected {(y.n, y.n)}"
         )
-    out, _, diag = _rayleigh_step(
-        c, y.basis, y.basis, cfg, e=_as_operator(e)
-    )
+    out, _, diag = _one_step(c, y.basis, y.basis, cfg, e=_as_operator(e))
     return (out, diag) if full_output else out
 
 
@@ -283,7 +284,7 @@ def generalized_hermitian_step(
             f"matrices are {a.shape} and {b.shape}, expected "
             f"{(y.n, y.n)}"
         )
-    out, _, diag = _rayleigh_step(a, y.basis, y.basis, cfg, b=b)
+    out, _, diag = _one_step(a, y.basis, y.basis, cfg, b=b)
     return (out, diag) if full_output else out
 
 
@@ -382,7 +383,7 @@ def pencil_tsgrqi_step(
             "normalized B_hat is numerically singular; pick a different "
             "(alpha, beta)"
         )
-    right, left, diag = _rayleigh_step(
+    right, left, diag = _one_step(
         a_hat, pair.left.basis, pair.right.basis, cfg,
         b=b_hat, two_sided=True,
     )

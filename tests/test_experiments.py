@@ -7,12 +7,15 @@ from grqi import (
     CONVERGED,
     ExperimentConfig,
     FAILURE,
+    GramSingularError,
     IterationRecord,
     IterationTrace,
     MissingOracleError,
     NearDefectiveError,
     format_table,
+    complement_basis,
     full_eigenspace_targets,
+    hamiltonian_step,
     hamiltonian_success,
     j_matrix,
     largest_principal_angle,
@@ -21,10 +24,14 @@ from grqi import (
     run_table1,
     summarize,
     summary_json,
+    tsgrqi_step,
     write_summary,
     write_traces,
 )
-from grqi.experiments import _instance
+from grqi.experiments import _instance, _study_chunk
+from grqi.iterations import SubspacePair
+from grqi.kernels import Subspace
+from grqi.structured import apply_j
 
 
 def records_match(a, b):
@@ -360,6 +367,121 @@ def test_table1_build_failure_is_recorded(tmp_path, monkeypatch):
     check_build_failures_recorded(
         tmp_path, monkeypatch, "random_diagonalizable", run_table1, cfg
     )
+
+
+# ---------------------------------------------------------- stacked driver
+
+STUDIES = {
+    "table1": (run_table1, {}),
+    "hamiltonian": (run_hamiltonian, {"experiment": "hamiltonian"}),
+}
+
+
+def study_bytes(tmp_path, study, **kwargs):
+    runner, extra = STUDIES[study]
+    summary, traces = runner(ExperimentConfig(n=20, **extra, **kwargs))
+    path = tmp_path / f"{study}-{len(traces)}.csv"
+    write_traces(path, traces)
+    return summary_json(summary), path.read_bytes()
+
+
+@pytest.mark.parametrize("study", sorted(STUDIES))
+def test_study_rows_do_not_depend_on_chunk_or_workers(
+    tmp_path, monkeypatch, study
+):
+    # 70 trials span three 32-trial chunks; their first rows are those of
+    # a 5-trial run, and neither one chunk per trial nor two workers
+    # moves a byte.
+    few = study_bytes(tmp_path, study, trials=5, seed=7)[1].splitlines()
+    many = study_bytes(tmp_path, study, trials=70, seed=7)
+    rows = many[1].splitlines()
+    assert rows[: len(few)] == few
+    assert int(rows[len(few)].split(b",")[0]) == 5
+    assert study_bytes(tmp_path, study, trials=70, seed=7, workers=2) == many
+    monkeypatch.setattr("grqi.experiments._CHUNK", 1)
+    assert study_bytes(tmp_path, study, trials=70, seed=7) == many
+
+
+def chunk_traces(tmp_path, experiment, trials, steps):
+    """Trace bytes of ``trials`` stepped as one stack and one by one."""
+    args = (experiment, 0, trials, 20, 5, 0.1, steps)
+    together = [trace for trace, _ in _study_chunk(args)]
+    alone = [
+        _study_chunk(args[:2] + (range(t, t + 1),) + args[3:])[0][0]
+        for t in trials
+    ]
+    out = []
+    for name, traces in (("together", together), ("alone", alone)):
+        write_traces(tmp_path / name, traces)
+        out.append((tmp_path / name).read_bytes())
+    return together, out
+
+
+def test_complex_shift_trial_rows_do_not_depend_on_its_chunk(tmp_path):
+    # Seed 0, trial 403 has complex quotient shifts from iterate 1 on.
+    c, _, _, start = _instance("diagonalizable", 20, 5, 0, 403, 0.1)
+    pair, _ = tsgrqi_step(c, start)
+    yl, yr = pair.left.basis, pair.right.basis
+    quotient = np.linalg.solve(yl.conj().T @ yr, yl.conj().T @ c @ yr)
+    assert np.any(np.linalg.eigvals(quotient).imag != 0.0)
+    _, (together, alone) = chunk_traces(tmp_path, "table1", range(400, 410), 5)
+    assert together == alone
+
+
+def test_stacked_steps_agree_with_public_steps(tmp_path):
+    # Replays from the same start through the one-problem steps; the
+    # stacked solves round differently, within 1e-12 + 1e-8 e.
+    cases = [
+        ("table1", "diagonalizable", range(400, 410), 5),
+        ("hamiltonian", "hamiltonian", range(3), 10),
+    ]
+    for experiment, kind, trials, steps in cases:
+        traces, _ = chunk_traces(tmp_path, experiment, trials, steps)
+        for trial, trace in zip(trials, traces):
+            c, _, oracle, state = _instance(kind, 20, 5, 0, trial, 0.1)
+            for rec in trace.records:
+                if rec.index:
+                    if experiment == "table1":
+                        state, _ = tsgrqi_step(c, state)
+                    else:
+                        y = hamiltonian_step(c, state.right)
+                        state = SubspacePair(
+                            left=Subspace(apply_j(y.basis)), right=y
+                        )
+                e = largest_principal_angle(
+                    state.left, oracle.left
+                ) + largest_principal_angle(state.right, oracle.right)
+                assert abs(e - rec.err_sum) <= 1e-12 + 1e-8 * rec.err_sum
+
+
+def test_step_failure_stays_in_its_trial(tmp_path, monkeypatch):
+    # Trial 3 starts with its left basis orthogonal to its right one: its
+    # first step fails on the cross Gram matrix, as the public step does,
+    # and the seven trials stepped beside it keep their unpatched rows.
+    import grqi.experiments
+
+    def orthogonal_start(kind, n, p, seed, trial, delta):
+        c, e, oracle, start = _instance(kind, n, p, seed, trial, delta)
+        if trial == 3:
+            left = Subspace(complement_basis(start.right)[:, :p])
+            start = SubspacePair(left=left, right=start.right)
+        return c, e, oracle, start
+
+    cfg = ExperimentConfig(trials=8, seed=5)
+    _, clean = run_table1(cfg)
+    monkeypatch.setattr(grqi.experiments, "_instance", orthogonal_start)
+    _, traces = run_table1(cfg)
+    c, _, _, start = orthogonal_start("diagonalizable", 20, 5, 5, 3, 0.1)
+    with pytest.raises(GramSingularError) as info:
+        tsgrqi_step(c, start)
+    assert traces[3].status == FAILURE
+    assert traces[3].iterates == 1
+    assert traces[3].failure_reason == f"GramSingularError: {info.value}"
+    for t in (0, 1, 2, 4, 5, 6, 7):
+        assert traces[t].status == clean[t].status
+        assert traces[t].iterates == clean[t].iterates
+        for a, b in zip(traces[t].records, clean[t].records):
+            assert records_match(a, b)
 
 
 # ------------------------------------------------------------- serialization

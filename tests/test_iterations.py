@@ -28,7 +28,7 @@ from grqi import (
     tsgrqi_step,
     two_sided_rqi_step,
 )
-from grqi.iterations import _check_hermitian
+from grqi.iterations import _check_hermitian, _solve_columns
 
 SEED = 2718
 
@@ -302,6 +302,36 @@ def test_tsgrqi_gram_singular_pair():
     )
     with pytest.raises(GramSingularError):
         tsgrqi_step(c, pair)
+
+
+def test_stacked_solve_isolates_a_singular_shift():
+    # Trial 1's first shift is an eigenvalue of its triangular matrix, so
+    # the stacked solve raises; every system is then solved alone and the
+    # singular one gets the perturbed shift.  Each trial's bases must be
+    # bitwise those of a stack holding that trial only, and agree with
+    # the one-LU-per-shift path of a single problem.
+    rng = trial_rng(SEED + 11)
+    n, p = 6, 2
+    a = np.triu(rng.standard_normal((3, n, n)), 1) + np.diag(np.arange(1.0, 7.0))
+    shifts = np.array([[0.5, 2.5 + 1j], [1.0, 3.5], [4.5, 5.5 - 2j]])
+    rhs = rng.standard_normal((3, n, p)) + 1j * rng.standard_normal((3, n, p))
+    rhs[:2, :, 0] = rhs[:2, :, 0].real
+    left = rng.standard_normal((3, n, p)).astype(complex)
+    right, lq, perturbed, failures = _solve_columns(a, shifts, rhs, left=left)
+    assert failures == [None, None, None]
+    assert perturbed == [False, True, False]
+    for t in range(3):
+        one = _solve_columns(
+            a[t:t + 1], shifts[t:t + 1], rhs[t:t + 1], left=left[t:t + 1]
+        )
+        assert np.array_equal(one[0][0], right[t])
+        assert np.array_equal(one[1][0], lq[t])
+        lu = _solve_columns(
+            a[t], shifts[t:t + 1], rhs[t:t + 1], left=left[t:t + 1]
+        )
+        assert lu[2][0] == perturbed[t]
+        for x, y in ((lu[0][0], right[t]), (lu[1][0], lq[t])):
+            assert largest_principal_angle(Subspace(x), Subspace(y)) <= 1e-10
 
 
 def test_tsgrqi_p1_matches_two_sided_rqi():

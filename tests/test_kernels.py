@@ -21,9 +21,15 @@ from grqi import (
     shifted_solve,
     small_eig,
     solve_eps,
+    subspace_at_angle,
     sylvester_solve,
 )
-from grqi.kernels import _lu_solves
+from grqi.kernels import (
+    _lu_solves,
+    _orthonormal_stack,
+    _principal_angles,
+    _residual_angles,
+)
 
 SEED = 1234
 
@@ -287,6 +293,74 @@ def test_small_eig_strict_near_defective():
         small_eig(r, strict=True)
     # non-strict path still reports the conditioning
     assert small_eig(r).cond > 1e8
+
+
+def test_small_eig_cond_is_the_singular_value_ratio():
+    # The bare sigma_max / sigma_min is the float np.linalg.cond returns.
+    rng = np.random.default_rng(SEED + 31)
+    for p in (2, 3, 5):
+        for r in (rng.standard_normal((p, p)), random_complex(rng, p, p)):
+            w = np.asarray(np.linalg.eig(r)[1], dtype=complex)
+            assert small_eig(r).cond == float(np.linalg.cond(w))
+
+
+def test_small_eig_singular_basis_has_infinite_cond(monkeypatch):
+    basis = np.array([[1.0, 1.0], [0.0, 0.0]])
+    monkeypatch.setattr(
+        np.linalg, "eig", lambda r: (np.ones((len(r), 2)), basis[None])
+    )
+    r = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert small_eig(r).cond == np.inf
+    with pytest.raises(NearDefectiveError):
+        small_eig(r, strict=True)
+
+
+# ------------------------------------------------------------ stacked rules
+
+
+def test_stacked_angles_match_one_pair_calls():
+    # Both routes of the angle rule, cosine and sine, in one stack: each
+    # angle is bitwise the one of a call on its pair alone.
+    rng = np.random.default_rng(SEED + 32)
+    u = [orthonormalize(random_complex(rng, 12, 3)) for _ in range(4)]
+    v = [
+        subspace_at_angle(x, theta, rng)
+        for x, theta in zip(u, (1e-9, 1.2, 0.3, 1.0))
+    ]
+    stacked = _principal_angles(
+        np.stack([x.basis for x in u]), np.stack([x.basis for x in v])
+    )
+    single = [largest_principal_angle(x, y) for x, y in zip(u, v)]
+    assert stacked.tolist() == single
+
+
+def test_stacked_rank_rule_fails_only_its_own_matrix():
+    rng = np.random.default_rng(SEED + 33)
+    z = rng.standard_normal((4, 10, 3))
+    z[1, :, 2] = z[1, :, 0]
+    z[2, 0, 0] = np.nan
+    q, failures = _orthonormal_stack(z)
+    for t in (0, 3):
+        assert failures[t] is None
+        assert np.array_equal(q[t], orthonormalize(z[t]).basis)
+    for t in (1, 2):
+        with pytest.raises(RankDeficientError) as info:
+            orthonormalize(z[t])
+        assert str(failures[t]) == str(info.value)
+    assert np.all(np.isfinite(q))
+
+
+def test_stacked_residual_angles_match_one_matrix_calls():
+    rng = np.random.default_rng(SEED + 34)
+    c = rng.standard_normal((3, 8, 8))
+    c[1, :, :2] = 0.0  # C Y = 0 on Y = span(e1, e2)
+    y = np.stack([orthonormalize(rng.standard_normal((8, 2))).basis] * 3)
+    y[1] = np.eye(8)[:, :2]
+    angles, failures = _residual_angles(c, y)
+    for t in (0, 2):
+        assert failures[t] is None
+        assert angles[t] == residual_angle(c[t], Subspace(y[t]))
+    assert isinstance(failures[1], RankDeficientError)
 
 
 # ------------------------------------------------------------ shifted_solve
