@@ -133,11 +133,13 @@ _METHODS = {
 
 
 def _load_matrix(path: str, like: np.ndarray | None = None) -> np.ndarray:
-    """Read a matrix; with ``like``, exit unless it has that shape."""
+    """Read a finite matrix; with ``like``, exit unless it has that shape."""
     try:
         m = read_matrix(path)
     except (ParseError, UnsupportedFormatError, OSError) as exc:
         _fail_usage(str(exc))
+    if not np.isfinite(m).all():
+        _fail_usage(f"{path}: matrix has nonfinite entries")
     if like is not None and m.shape != like.shape:
         _fail_usage(f"{path}: matrix is {m.shape}, expected {like.shape}")
     return m
@@ -183,6 +185,10 @@ def refine(
     max_iters, tol, oracle_right, oracle_left, out,
 ):
     """Run one refinement and write its per-iterate trace to CSV."""
+    try:
+        scfg = StepConfig(max_iters=max_iters, angle_tol=tol)
+    except ValueError as exc:
+        _fail_usage(str(exc))
     c = _load_matrix(matrix)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         _fail_usage(f"{matrix}: matrix must be square, got {c.shape}")
@@ -230,7 +236,6 @@ def refine(
     except GrqiError as exc:
         _fail_usage(str(exc))
 
-    scfg = StepConfig(max_iters=max_iters, angle_tol=tol)
     if paired:
         c_h, b_h = c.conj().T, None if b is None else b.conj().T
         residual = lambda s: max(

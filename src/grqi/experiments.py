@@ -42,8 +42,9 @@ from .kernels import (
     _residual_angles,
     orthonormalize,
 )
-from .structured import _mirror_groups, apply_j
+from .structured import apply_j
 from .testgen import (
+    _mirror_groups,
     eigenspace_pair_oracle,
     nearby_subspace,
     random_diagonalizable,
@@ -339,10 +340,9 @@ def _study_chunk(args) -> list[tuple[IterationTrace, int]]:
             )
         except GrqiError as exc:
             # One all-NaN iterate keeps the failed trial in the trace file.
-            reason = f"{type(exc).__name__}: {exc}"
-            results[trial] = IterationTrace(
-                [IterationRecord(index=0)], FAILURE, reason
-            ), 0
+            trace = IterationTrace([IterationRecord(index=0)])
+            _end_failed([trace], [0], [exc])
+            results[trial] = trace, 0
             continue
         arrays = (c,) + tuple(
             s.basis for pr in (oracle, start) for s in (pr.left, pr.right)
@@ -430,17 +430,20 @@ def run_hamiltonian(
     )
 
 
+# The trace CSV columns of one IterationRecord, between ``trial`` and
+# ``status``: (column, record field, parse).  Floats are written in exact
+# round-trip form, the other fields as integers.
+_RECORD_COLUMNS = (
+    ("iterate", "index", int),
+    ("right_err", "right_err", float),
+    ("left_err", "left_err", float),
+    ("e", "err_sum", float),
+    ("residual_angle", "residual", float),
+    ("perturbed", "perturbed", lambda text: bool(int(text))),
+    ("shift_cond", "shift_cond", float),
+)
 _CSV_COLUMNS = (
-    "trial",
-    "iterate",
-    "right_err",
-    "left_err",
-    "e",
-    "residual_angle",
-    "perturbed",
-    "shift_cond",
-    "status",
-    "failure_reason",
+    "trial", *(c for c, _, _ in _RECORD_COLUMNS), "status", "failure_reason"
 )
 
 
@@ -456,20 +459,10 @@ def write_traces(path: str | os.PathLike, traces: list[IterationTrace]) -> None:
         writer.writerow(_CSV_COLUMNS)
         for t, trace in enumerate(traces):
             for rec in trace.records:
-                writer.writerow(
-                    [
-                        t,
-                        rec.index,
-                        repr(float(rec.right_err)),
-                        repr(float(rec.left_err)),
-                        repr(float(rec.err_sum)),
-                        repr(float(rec.residual)),
-                        int(rec.perturbed),
-                        repr(float(rec.shift_cond)),
-                        trace.status,
-                        trace.failure_reason or "",
-                    ]
-                )
+                writer.writerow([t, *(
+                    repr(float(getattr(rec, f))) if parse is float
+                    else int(getattr(rec, f)) for _, f, parse in _RECORD_COLUMNS
+                ), trace.status, trace.failure_reason or ""])
 
 
 def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
@@ -494,15 +487,10 @@ def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
                 )
             try:
                 trial = int(row[0])
-                rec = IterationRecord(
-                    index=int(row[1]),
-                    right_err=float(row[2]),
-                    left_err=float(row[3]),
-                    err_sum=float(row[4]),
-                    residual=float(row[5]),
-                    perturbed=bool(int(row[6])),
-                    shift_cond=float(row[7]),
-                )
+                rec = IterationRecord(**{
+                    name: parse(text)
+                    for (_, name, parse), text in zip(_RECORD_COLUMNS, row[1:])
+                })
             except ValueError:
                 raise ParseError(
                     f"malformed row {row!r}", path=path, line=lineno
@@ -517,8 +505,8 @@ def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
                 traces.append(IterationTrace())
                 current = trial
             traces[-1].records.append(rec)
-            traces[-1].status = row[8]
-            traces[-1].failure_reason = row[9] or None
+            traces[-1].status = row[-2]
+            traces[-1].failure_reason = row[-1] or None
     return traces
 
 

@@ -29,7 +29,7 @@ from .iterations import (
     _one_step,
 )
 from .kernels import Subspace, orthonormalize
-from .testgen import _checked_eig, group_mirror_eigenvalues
+from .testgen import _mirror_groups
 
 __all__ = [
     "Plain",
@@ -298,17 +298,6 @@ class TargetGroup(NamedTuple):
     eigenvalues: np.ndarray
     right: Subspace
     left: Subspace | None
-
-
-def _mirror_groups(c: np.ndarray, conjugate_closed: bool):
-    """Eigenvalues, eigenvector matrix and mirror-symmetric groups (index
-    arrays) of ``c``, in descending order of largest absolute real part;
-    only the groups a caller keeps need their bases orthonormalized."""
-    values, s = _checked_eig(c)
-    tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
-    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
-    groups.sort(key=lambda g: -float(np.abs(values[g].real).max()))
-    return values, s, groups
 
 
 def full_eigenspace_targets(

@@ -242,44 +242,57 @@ def group_mirror_eigenvalues(
     """Partition eigenvalues into groups symmetric about the imaginary
     axis.
 
-    Each eigenvalue is paired with the one nearest to the mirror image
-    -conj(lambda); purely imaginary eigenvalues are self-paired.  With
-    ``conjugate_closed`` the groups are additionally closed under complex
-    conjugation (appropriate for real matrices, whose invariant subspaces
-    of interest are real).  Ties are broken by matching in descending
-    modulus order.  Raises
-    :class:`~grqi.errors.UnpairedEigenvalueError` when a mirror partner is
-    missing beyond ``tol``.
+    Two eigenvalues are linked when one lies within ``tol`` of the other
+    or of one of the other's images: the mirror image -conj(lambda) and,
+    with ``conjugate_closed`` (real matrices, whose invariant subspaces of
+    interest are real), conj(lambda).  The groups are the connected
+    components of that relation, so multiplicities stay together.  They
+    come in the order of their first member in descending modulus (ties
+    broken by real, then imaginary part), each with its indices ascending.
+    Raises :class:`~grqi.errors.UnpairedEigenvalueError` when an image of
+    some eigenvalue has no eigenvalue within ``tol``.
     """
     order = _stable_order(values, np.abs(values))
-    unused = list(order)
-    groups: list[np.ndarray] = []
-    while unused:
-        member_set = [unused.pop(0)]
-        frontier = list(member_set)
-        while frontier:
-            i = frontier.pop()
-            images = [values[i], -np.conj(values[i])]
-            if conjugate_closed:
-                images.append(np.conj(values[i]))
-            for img in images:
-                # Absorb every remaining eigenvalue at this image, so
-                # multiplicities stay together.
-                j = 0
-                while j < len(unused):
-                    if abs(values[unused[j]] - img) <= tol:
-                        member_set.append(unused.pop(j))
-                        frontier.append(member_set[-1])
-                    else:
-                        j += 1
-                covered = min(abs(values[j2] - img) for j2 in member_set)
-                if covered > tol:
-                    raise UnpairedEigenvalueError(
-                        f"eigenvalue {values[i]} has no partner near {img} "
-                        f"(closest member at distance {covered:.3e})"
-                    )
-        groups.append(np.array(sorted(member_set)))
-    return groups
+    ranked = values[order]
+    images = [ranked, -np.conj(ranked)]
+    if conjugate_closed:
+        images.append(np.conj(ranked))
+    # near[k, i, j]: ranked[j] lies within tol of image k of ranked[i].
+    near = np.abs(ranked - np.stack(images)[:, :, None]) <= tol
+    missing = np.argwhere(~near.any(axis=2))
+    if missing.size:
+        k, i = missing[0]
+        raise UnpairedEigenvalueError(
+            f"eigenvalue {ranked[i]} has no eigenvalue within {tol:.3e} of "
+            f"its image {images[k][i]}"
+        )
+    # The link is symmetric (|mu + conj(lambda)| = |lambda + conj(mu)|,
+    # |mu - conj(lambda)| = |lambda - conj(mu)|).  Each component takes the
+    # smallest rank in it as label, spread one link per round.
+    link = near.any(axis=0)
+    label = np.arange(len(ranked))
+    for _ in range(len(ranked)):
+        spread = np.where(link, label, len(ranked)).min(axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    return [np.sort(order[label == r]) for r in np.unique(label)]
+
+
+def _ranked_mirror_groups(values, tol: float, conjugate_closed: bool):
+    """The mirror groups of ``values`` in descending order of their largest
+    |Re lambda|; ties keep their order of :func:`group_mirror_eigenvalues`."""
+    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
+    return sorted(groups, key=lambda g: -float(np.abs(values[g].real).max()))
+
+
+def _mirror_groups(c: np.ndarray, conjugate_closed: bool):
+    """Eigenvalues, eigenvector matrix and mirror-symmetric groups (index
+    arrays) of ``c``, in descending order of largest absolute real part;
+    only the groups a caller keeps need their bases orthonormalized."""
+    values, s = _checked_eig(c)
+    tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
+    return values, s, _ranked_mirror_groups(values, tol, conjugate_closed)
 
 
 def select_full_group_max_real(tol: float, conjugate_closed: bool = True):
@@ -287,11 +300,7 @@ def select_full_group_max_real(tol: float, conjugate_closed: bool = True):
     the eigenvalue of largest absolute real part."""
 
     def _select(values: np.ndarray) -> np.ndarray:
-        groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
-        best = max(
-            groups, key=lambda g: float(np.abs(values[g].real).max())
-        )
-        return best
+        return _ranked_mirror_groups(values, tol, conjugate_closed)[0]
 
     return _select
 

@@ -492,6 +492,60 @@ def test_refine_shape_mismatch_exits_one(tmp_path, files, extra, culprit):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--max-iters", "0"], "max_iters must be >= 1, got 0"),
+        (["--tol", "0"], "angle_tol must be > 0, got 0.0"),
+        (["--tol", "nan"], "angle_tol must be > 0, got nan"),
+    ],
+)
+def test_refine_invalid_budget_exits_one_before_reading(tmp_path, option, message):
+    # The options are checked first: the missing matrix file is never read.
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(tmp_path / "missing.mtx"),
+            "--right", str(tmp_path / "missing.mtx"),
+            "--out", str(tmp_path / "t.csv"),
+        ] + option
+    )
+    assert result.exit_code == 1
+    assert message in result.output
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "culprit, bad, extra",
+    [
+        ("c", np.nan, []),
+        ("c", np.nan, ["--method", "one-sided", "--structure", "hamiltonian"]),
+        ("b", np.nan, ["--method", "pencil"]),
+        ("b", np.inf, ["--method", "one-sided", "--structure", "generalized"]),
+        ("e", -np.inf, ["--method", "one-sided", "--structure", "e-hermitian"]),
+    ],
+)
+def test_refine_nonfinite_operand_exits_one(tmp_path, culprit, bad, extra):
+    operands = {"c": np.diag([1.0, 2.0, 3.0, 4.0]), "b": np.eye(4), "e": np.eye(4)}
+    operands[culprit][0, 1] = bad
+    for name, value in operands.items():
+        write_matrix(tmp_path / f"{name}.mtx", value)
+    write_matrix(tmp_path / "y.mtx", np.eye(4)[:, :2])
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(tmp_path / "c.mtx"),
+            "--right", str(tmp_path / "y.mtx"),
+            "--b-matrix", str(tmp_path / "b.mtx"),
+            "--e-matrix", str(tmp_path / "e.mtx"),
+            "--out", str(tmp_path / "t.csv"),
+        ] + extra
+    )
+    assert result.exit_code == 1
+    assert f"{culprit}.mtx: matrix has nonfinite entries" in result.output
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_refine_records_residual_failure(tmp_path):
     # grqi reaches the kernel of C exactly (C Y = 0), where the residual
     # angle is undefined: a failure in the trace, not a crash.

@@ -299,6 +299,132 @@ def test_select_full_group_max_real_on_hamiltonian():
         )
 
 
+def reference_group_mirror_eigenvalues(values, tol, conjugate_closed=False):
+    """The frontier search that grouped mirror eigenvalues before the
+    component rule, kept as a reference: absorb every unused eigenvalue
+    near an image of a member, in descending-modulus order."""
+    order = np.lexsort((values.imag, values.real, -np.abs(values)))
+    unused = list(order)
+    groups = []
+    while unused:
+        member_set = [unused.pop(0)]
+        frontier = list(member_set)
+        while frontier:
+            i = frontier.pop()
+            images = [values[i], -np.conj(values[i])]
+            if conjugate_closed:
+                images.append(np.conj(values[i]))
+            for img in images:
+                j = 0
+                while j < len(unused):
+                    if abs(values[unused[j]] - img) <= tol:
+                        member_set.append(unused.pop(j))
+                        frontier.append(member_set[-1])
+                    else:
+                        j += 1
+                covered = min(abs(values[j2] - img) for j2 in member_set)
+                if covered > tol:
+                    raise UnpairedEigenvalueError(f"{values[i]} near {img}")
+        groups.append(np.array(sorted(member_set)))
+    return groups
+
+
+def assert_groups_match_reference(values, tol, conjugate_closed):
+    """Equal groups, or both refuse; True when the spectrum was grouped."""
+    try:
+        want = reference_group_mirror_eigenvalues(values, tol, conjugate_closed)
+    except UnpairedEigenvalueError:
+        with pytest.raises(UnpairedEigenvalueError):
+            group_mirror_eigenvalues(values, tol, conjugate_closed)
+        return False
+    got = group_mirror_eigenvalues(values, tol, conjugate_closed)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    return True
+
+
+@pytest.mark.parametrize(
+    "kind, n, conjugate_closed, count",
+    [
+        ("hamiltonian", 4, False, 500),
+        ("hamiltonian", 4, True, 500),
+        ("hamiltonian", 8, False, 500),
+        ("hamiltonian", 8, True, 500),
+        ("hamiltonian", 20, False, 400),
+        ("hamiltonian", 20, True, 400),
+        ("e-skew-hermitian", 10, False, 400),
+        ("e-skew-hermitian", 10, True, 100),
+    ],
+)
+def test_group_mirror_matches_reference_search(kind, n, conjugate_closed, count):
+    # Same partition, group order and member order as the search on the
+    # spectra the studies group (tolerance as in full_eigenspace_targets),
+    # and the same outcome once one eigenvalue is dropped.
+    grouped = refused = 0
+    for t in range(count):
+        rng = trial_rng(SEED + 11, t)
+        if kind == "hamiltonian":
+            c = random_hamiltonian(n, rng)
+        else:
+            c, _ = random_e_skew_hermitian(n, rng)
+        vals = np.linalg.eigvals(c)
+        tol = 1e-8 * max(1.0, np.linalg.norm(c, 2))
+        grouped += assert_groups_match_reference(vals, tol, conjugate_closed)
+        refused += not assert_groups_match_reference(
+            vals[1:], tol, conjugate_closed
+        )
+    # An E-skew-Hermitian spectrum is imaginary: every eigenvalue is its
+    # own mirror image, but not closed under conjugation.
+    skew = kind == "e-skew-hermitian"
+    assert grouped == (0 if skew and conjugate_closed else count)
+    assert refused > 0 or (skew and not conjugate_closed)
+
+
+@pytest.mark.parametrize("conjugate_closed", [False, True])
+@pytest.mark.parametrize(
+    "vals",
+    [
+        # equal moduli, ranked by real then imaginary part
+        [1.0, -1.0, 1j, -1j, 1 + 0j, -1 + 0j],
+        [2 + 1j, -2 + 1j, 2 - 1j, -2 - 1j, 1 + 2j, -1 + 2j, 1 - 2j, -1 - 2j],
+        # a double pair, and two eigenvalues near one image
+        [3.0, 3.0, -3.0, -3.0, -3.0 + 4e-9, 0.5j, -0.5j],
+        # a chain: 1 and 1 + 1.8e-8 are linked only through -(1 + 0.9e-8)
+        [1.0, -(1.0 + 0.9e-8), 1.0 + 1.8e-8, 0.25, -0.25],
+        [1.0 + 1.8e-8, 0.25, -(1.0 + 0.9e-8), -0.25, 1.0],
+    ],
+)
+def test_group_mirror_ties_and_chains_match_reference(vals, conjugate_closed):
+    vals = np.array(vals, dtype=complex)
+    assert_groups_match_reference(vals, 1e-8, conjugate_closed)
+
+
+def test_group_mirror_chain_is_one_group():
+    vals = np.array([1.0, -(1.0 + 0.9e-8), 1.0 + 1.8e-8, 0.25, -0.25])
+    groups = group_mirror_eigenvalues(vals.astype(complex), 1e-8)
+    assert [list(g) for g in groups] == [[0, 1, 2], [3, 4]]
+
+
+def test_group_mirror_order_contract():
+    # Groups follow their first member in descending modulus, ties broken
+    # by real then imaginary part; members are listed by index.
+    vals = np.array(
+        [0.5, 3j, -0.5, -3j, 2 + 1j, -2 + 1j, 2 - 1j, -2 - 1j]
+    )
+    groups = group_mirror_eigenvalues(vals, 1e-8)
+    assert [list(g) for g in groups] == [[3], [1], [6, 7], [4, 5], [0, 2]]
+    closed = group_mirror_eigenvalues(vals, 1e-8, conjugate_closed=True)
+    assert [list(g) for g in closed] == [[1, 3], [4, 5, 6, 7], [0, 2]]
+    # Of the two mirror pairs with |Re| = 2 the earlier group is chosen.
+    assert list(select_full_group_max_real(1e-8, False)(vals)) == [6, 7]
+
+
+def test_group_mirror_unpaired_message_names_the_image():
+    with pytest.raises(UnpairedEigenvalueError, match=r"\(2\+0j\).*\(-2"):
+        group_mirror_eigenvalues(np.array([1.0, -1.0, 2.0], dtype=complex), 1e-8)
+
+
 # ----------------------------------------------------- eigenspace oracles
 
 
