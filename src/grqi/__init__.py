@@ -75,7 +75,6 @@ from .structured import (
 )
 from .testgen import (
     GeneratedProblem,
-    build_block_diagonalizer,
     complement_basis,
     eigenspace_pair_oracle,
     group_mirror_eigenvalues,
@@ -84,8 +83,6 @@ from .testgen import (
     random_e_hermitian,
     random_e_skew_hermitian,
     random_hamiltonian,
-    select_full_group_max_real,
-    select_matching,
     select_top_modulus,
     subspace_at_angle,
     trial_rng,

@@ -2,14 +2,15 @@
 generation.
 
 Exit codes of ``refine``: 0 converged, 2 iteration budget exhausted,
-3 failure (including strict structure-check refusals); 1 for unreadable or
-malformed input files.
+3 failure (including strict structure-check refusals and pencils with no
+usable normalization); 1 for unreadable or malformed input files.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from functools import partial
 
 import click
 import numpy as np
@@ -45,6 +46,7 @@ from .structured import (
     PencilPair,
     SkewHamiltonianJ,
     check_structure,
+    choose_pencil_normalization,
     generalized_hermitian_step,
     hamiltonian_step,
     one_sided_step,
@@ -69,49 +71,48 @@ def _fail_usage(message: str):
     sys.exit(1)
 
 
-def _pencil_residual(a: np.ndarray, b: np.ndarray, y: Subspace) -> float:
-    """Angle by which span(A Y) leaves span(B Y); zero on a deflating
-    subspace of the pencil (A, B)."""
-    ay = a @ y.basis
-    q = np.linalg.qr(b @ y.basis)[0]
-    ay_norm = np.linalg.norm(ay, 2)
-    if ay_norm == 0.0:
-        return 0.0
-    leak = ay - q @ (q.conj().T @ ay)
-    return float(np.arcsin(min(1.0, np.linalg.norm(leak, 2) / ay_norm)))
+def _pencil_step(c, b, e, cfg):
+    """The pencil step under the normalization chosen once for (C, B), so
+    a singular B runs too."""
+    coeffs = choose_pencil_normalization(c, b)
+    return partial(pencil_tsgrqi_step, c, b, coeffs=coeffs, cfg=cfg)
 
 
-def _residual(c, b, y: Subspace) -> float:
-    return residual_angle(c, y)
-
-
-# (--method, --structure or None) -> (state type, step (C, B, E, cfg,
-# state) -> (state, diagnostics), residual of one side under (C, B)).
-# Steps are looked up by name when they run, so wrappers installed on
-# this module's bindings see every call.
+# (--method, --structure or None) -> (state type, builder of the step
+# state -> (state, diagnostics) from (C, B, E, cfg), whether the residual
+# is taken under the pencil (C, B) rather than C alone).  Builders look
+# the steps up by name when ``refine`` calls them, so wrappers installed
+# on this module's bindings see every call.
 _E_STEP = (
     Subspace,
-    lambda c, b, e, cfg, y: one_sided_step(c, e, y, cfg, full_output=True),
-    _residual,
+    lambda c, b, e, cfg: partial(
+        one_sided_step, c, e, cfg=cfg, full_output=True
+    ),
+    False,
 )
 _J_STEP = (
     Subspace,
-    lambda c, b, e, cfg, y: hamiltonian_step(c, y, cfg, full_output=True),
-    _residual,
+    lambda c, b, e, cfg: partial(
+        hamiltonian_step, c, cfg=cfg, full_output=True
+    ),
+    False,
 )
 _METHODS = {
     ("tsgrqi", None): (
-        SubspacePair, lambda c, b, e, cfg, s: tsgrqi_step(c, s, cfg), _residual
+        SubspacePair, lambda c, b, e, cfg: partial(tsgrqi_step, c, cfg=cfg),
+        False,
     ),
     ("grqi", None): (
         Subspace,
-        lambda c, b, e, cfg, y: grqi_step(c, y, cfg, full_output=True),
-        _residual,
+        lambda c, b, e, cfg: partial(grqi_step, c, cfg=cfg, full_output=True),
+        False,
     ),
     ("newton", None): (
         Subspace,
-        lambda c, b, e, cfg, y: newton_chatelin_step(c, y, full_output=True),
-        _residual,
+        lambda c, b, e, cfg: partial(
+            newton_chatelin_step, c, full_output=True
+        ),
+        False,
     ),
     ("one-sided", "e-hermitian"): _E_STEP,
     ("one-sided", "e-skew-hermitian"): _E_STEP,
@@ -119,16 +120,12 @@ _METHODS = {
     ("one-sided", "skew-hamiltonian"): _J_STEP,
     ("one-sided", "generalized"): (
         Subspace,
-        lambda c, b, e, cfg, y: generalized_hermitian_step(
-            c, b, y, cfg, full_output=True
+        lambda c, b, e, cfg: partial(
+            generalized_hermitian_step, c, b, cfg=cfg, full_output=True
         ),
-        _pencil_residual,
+        True,
     ),
-    ("pencil", None): (
-        PencilPair,
-        lambda c, b, e, cfg, s: pencil_tsgrqi_step(c, b, s, cfg=cfg),
-        _pencil_residual,
-    ),
+    ("pencil", None): (PencilPair, _pencil_step, True),
 }
 
 
@@ -201,8 +198,8 @@ def refine(
     entry = _METHODS.get((method, None)) or _METHODS.get((method, structure))
     if entry is None:
         _fail_usage(f"--method {method} needs a --structure")
-    state_type, step, one_side = entry
-    if one_side is _pencil_residual and b is None:  # the pencil (C, B)
+    state_type, build_step, pencil = entry
+    if pencil and b is None:
         _fail_usage(f"--method {method} needs --b-matrix")
 
     if kind is not None:
@@ -236,17 +233,21 @@ def refine(
     except GrqiError as exc:
         _fail_usage(str(exc))
 
+    try:
+        step = build_step(c, b, e, scfg)
+    except GrqiError as exc:
+        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
+    pencil_b = b if pencil else None  # a stray --b-matrix changes nothing
     if paired:
-        c_h, b_h = c.conj().T, None if b is None else b.conj().T
+        c_h, b_h = c.conj().T, None if pencil_b is None else pencil_b.conj().T
         residual = lambda s: max(
-            one_side(c, b, s.right), one_side(c_h, b_h, s.left)
+            residual_angle(c, s.right, pencil_b),
+            residual_angle(c_h, s.left, b_h),
         )
     else:
-        residual = lambda y: one_side(c, b, y)
-    trace = iterate(
-        lambda s: step(c, b, e, scfg, s), state, scfg,
-        residual=residual, oracle=oracle,
-    )
+        residual = lambda y: residual_angle(c, y, pencil_b)
+    trace = iterate(step, state, scfg, residual=residual, oracle=oracle)
     write_traces(out, [trace])
     last = trace.records[-1]
     click.echo(f"status: {trace.status} after {trace.iterates - 1} step(s)")

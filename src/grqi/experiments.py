@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import GrqiError, MissingOracleError, ParseError
 from .iterations import (
+    CONVERGED,
     FAILURE,
+    MAX_ITERS,
     IterationRecord,
     IterationTrace,
     StepDiagnostics,
@@ -278,9 +280,8 @@ def _step_stack(hamiltonian, c, oracle, start, steps) -> list[IterationTrace]:
     convergence test; the rows of a trial depend on no other trial.
 
     ``c`` is (k, n, n); ``oracle`` and ``start`` are pairs of (k, n, p)
-    stacks of left and right bases.  A trial whose residual fails keeps
-    that row with a NaN residual and stops; one whose step fails stops.
-    The Hamiltonian iterate is the pair (span(J Y), Y) of the one-sided
+    stacks of left and right bases.  A trial whose step fails stops.  The
+    Hamiltonian iterate is the pair (span(J Y), Y) of the one-sided
     step on Y.
     """
     (ol, orr), (yl, yr) = oracle, start
@@ -288,8 +289,7 @@ def _step_stack(hamiltonian, c, oracle, start, steps) -> list[IterationTrace]:
     live = np.arange(len(c))
     diags = [StepDiagnostics()] * len(c)
     for index in range(steps + 1):
-        res, failures = _residual_angles(c, yr)
-        res[[f is not None for f in failures]] = np.nan
+        res = _residual_angles(c, yr)
         left_err = _principal_angles(yl, ol)
         right_err = _principal_angles(yr, orr)
         for j, t in enumerate(live):
@@ -302,12 +302,8 @@ def _step_stack(hamiltonian, c, oracle, start, steps) -> list[IterationTrace]:
                 perturbed=diags[j].perturbed,
                 shift_cond=diags[j].shift_cond,
             ))
-        keep = _end_failed(traces, live, failures)
-        if index == steps or not keep.any():
+        if index == steps:
             break
-        live, c, ol, orr, yl, yr = (
-            x[keep] for x in (live, c, ol, orr, yl, yr)
-        )
         if hamiltonian:
             out = _rayleigh_step(c, yr, yr, None, e=apply_j)
         else:
@@ -439,7 +435,7 @@ _RECORD_COLUMNS = (
     ("left_err", "left_err", float),
     ("e", "err_sum", float),
     ("residual_angle", "residual", float),
-    ("perturbed", "perturbed", lambda text: bool(int(text))),
+    ("perturbed", "perturbed", lambda text: {"0": False, "1": True}[text]),
     ("shift_cond", "shift_cond", float),
 )
 _CSV_COLUMNS = (
@@ -466,13 +462,15 @@ def write_traces(path: str | os.PathLike, traces: list[IterationTrace]) -> None:
 
 
 def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
-    """Read a CSV trace file back into traces, grouped by trial column."""
+    """Read a CSV trace file back into traces, grouped by trial column.
+    :class:`~grqi.errors.ParseError` names the first line that
+    :func:`write_traces` cannot write: a bad header, field or status, a
+    skipped trial, or a trial whose status or failure reason changes or
+    whose iterate column does not count 0, 1, 2, ..."""
     path = os.fspath(path)
     traces: list[IterationTrace] = []
-    current: int | None = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if lineno == 1:
                 if tuple(row) != _CSV_COLUMNS:
                     raise ParseError(
@@ -491,22 +489,25 @@ def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
                     name: parse(text)
                     for (_, name, parse), text in zip(_RECORD_COLUMNS, row[1:])
                 })
-            except ValueError:
+            except (KeyError, ValueError):
                 raise ParseError(
                     f"malformed row {row!r}", path=path, line=lineno
                 ) from None
-            if trial != current:
-                if trial != len(traces):
-                    raise ParseError(
-                        f"trial column jumped to {trial}",
-                        path=path,
-                        line=lineno,
-                    )
-                traces.append(IterationTrace())
-                current = trial
-            traces[-1].records.append(rec)
-            traces[-1].status = row[-2]
-            traces[-1].failure_reason = row[-1] or None
+            status = (row[-2], row[-1] or None)
+            if trial == len(traces):
+                traces.append(IterationTrace([], *status))
+            if not 0 <= trial == len(traces) - 1:
+                problem = f"trial column jumped to {trial}"
+            elif status[0] not in (CONVERGED, MAX_ITERS, FAILURE):
+                problem = f"unknown status {status[0]!r}"
+            elif status != (traces[-1].status, traces[-1].failure_reason):
+                problem = f"status or failure_reason changed in trial {trial}"
+            elif rec.index != traces[-1].iterates:
+                problem = f"iterate {rec.index}, expected {traces[-1].iterates}"
+            else:
+                traces[-1].records.append(rec)
+                continue
+            raise ParseError(problem, path=path, line=lineno)
     return traces
 
 

@@ -261,29 +261,31 @@ def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.arctan2(s, c))
 
 
-def _residual_angles(c: np.ndarray, y: np.ndarray):
-    """:func:`residual_angle` for every matrix of a stack: ``c`` is
-    (k, n, n) or one (n, n) matrix, ``y`` (k, n, p) orthonormal bases.
-    Returns ``(angles, failures)`` as :func:`_orthonormal_stack` does."""
-    image, failures = _orthonormal_stack(c @ y)
-    _check_orthonormal(image)
-    return _principal_angles(y, image), failures
+def _residual_angles(c: np.ndarray, y: np.ndarray, b=None) -> np.ndarray:
+    """:func:`residual_angle` for every matrix of a stack: ``c`` (and
+    ``b``) is (k, n, n) or one (n, n) matrix, ``y`` (k, n, p) orthonormal
+    bases."""
+    cy = c @ y
+    q = y if b is None else np.linalg.qr(b @ y)[0]
+    leak = np.linalg.norm(cy - q @ (_adjoint(q) @ cy), 2, axis=(-2, -1))
+    scale = np.linalg.norm(cy, 2, axis=(-2, -1))
+    ratio = np.divide(leak, scale, out=np.zeros_like(scale), where=scale > 0)
+    return np.arcsin(np.minimum(ratio, 1.0))
 
 
-def residual_angle(c: np.ndarray, y: Subspace) -> float:
-    """Largest principal angle between span(Y) and span(C Y).
+def residual_angle(c: np.ndarray, y: Subspace, b=None) -> float:
+    """Angle by which span(C Y) leaves span(B Y), B the identity when ``b``
+    is None: arcsin ||C Y - Q Q^H C Y||_2 / ||C Y||_2 for an orthonormal
+    basis Q of span(B Y) (Y itself without ``b``), and 0 when C Y = 0.
 
-    Zero exactly when span(Y) is an invariant subspace of ``c``.  Raises
-    :class:`~grqi.errors.RankDeficientError` when C Y loses rank.
+    Zero exactly on invariant subspaces of C (deflating subspaces of the
+    pencil (C, B)), also those that meet the kernel of C.  Without ``b``
+    it is at most the largest principal angle of span(Y) and span(C Y).
     """
     c = np.asarray(c)
-    if c.shape != (y.n, y.n):
-        raise DimensionMismatchError(
-            f"matrix is {c.shape}, expected {(y.n, y.n)}"
-        )
-    angles, failures = _residual_angles(c, y.basis[None])
-    _raise_first(failures)
-    return float(angles[0])
+    if c.shape != (y.n, y.n) or b is not None and np.shape(b) != c.shape:
+        raise DimensionMismatchError(f"matrices must be {y.n}x{y.n}")
+    return float(_residual_angles(c, y.basis[None], b)[0])
 
 
 def _small_eig_stack(r: np.ndarray, strict: bool = False):
@@ -340,10 +342,10 @@ def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
     return BlockShift(eigvecs=w[0], shifts=vals[0], cond=cond[0])
 
 
-def solve_eps(c: np.ndarray, scale: float = 1e3) -> float:
-    """Perturbation magnitude used by the shifted-solve fallback:
-    ``scale`` times unit roundoff times the Frobenius norm of ``c``."""
-    return scale * _U * float(np.linalg.norm(c, "fro"))
+def solve_eps(c: np.ndarray) -> float:
+    """Perturbation magnitude used by the shifted-solve fallback: 1e3
+    times unit roundoff times the Frobenius norm of ``c``."""
+    return 1e3 * _U * float(np.linalg.norm(c, "fro"))
 
 
 def _is_real(x: np.ndarray) -> bool:

@@ -21,7 +21,7 @@ from .errors import (
     OddDimensionError,
     UnpairedEigenvalueError,
 )
-from .kernels import Subspace, orthonormalize, sylvester_solve
+from .kernels import Subspace, orthonormalize
 
 __all__ = [
     "trial_rng",
@@ -34,11 +34,8 @@ __all__ = [
     "nearby_subspace",
     "complement_basis",
     "select_top_modulus",
-    "select_matching",
-    "select_full_group_max_real",
     "eigenspace_pair_oracle",
     "group_mirror_eigenvalues",
-    "build_block_diagonalizer",
 ]
 
 _GAP_RTOL = 1e-8
@@ -211,29 +208,6 @@ def select_top_modulus(p: int):
     return _select
 
 
-def select_matching(targets, rtol: float = 1e-6):
-    """Selector matching each requested eigenvalue to the nearest
-    computed one (relative to the overall spectrum scale)."""
-    targets = np.asarray(targets, dtype=complex)
-
-    def _select(values: np.ndarray) -> np.ndarray:
-        scale = max(1.0, float(np.abs(values).max()))
-        taken: list[int] = []
-        for t in targets:
-            dist = np.abs(values - t)
-            dist[taken] = np.inf
-            j = int(np.argmin(dist))
-            if dist[j] > rtol * scale:
-                raise NotSpectralError(
-                    f"no computed eigenvalue within {rtol * scale:.3e} "
-                    f"of requested {t}"
-                )
-            taken.append(j)
-        return np.array(taken)
-
-    return _select
-
-
 def group_mirror_eigenvalues(
     values: np.ndarray,
     tol: float,
@@ -279,30 +253,17 @@ def group_mirror_eigenvalues(
     return [np.sort(order[label == r]) for r in np.unique(label)]
 
 
-def _ranked_mirror_groups(values, tol: float, conjugate_closed: bool):
-    """The mirror groups of ``values`` in descending order of their largest
-    |Re lambda|; ties keep their order of :func:`group_mirror_eigenvalues`."""
-    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
-    return sorted(groups, key=lambda g: -float(np.abs(values[g].real).max()))
-
-
 def _mirror_groups(c: np.ndarray, conjugate_closed: bool):
     """Eigenvalues, eigenvector matrix and mirror-symmetric groups (index
-    arrays) of ``c``, in descending order of largest absolute real part;
-    only the groups a caller keeps need their bases orthonormalized."""
+    arrays) of ``c``, in descending order of largest absolute real part,
+    ties in their order of :func:`group_mirror_eigenvalues`; only the
+    groups a caller keeps need their bases orthonormalized."""
     values, s = _checked_eig(c)
     tol = 1e-8 * max(1.0, float(np.linalg.norm(c, 2)))
-    return values, s, _ranked_mirror_groups(values, tol, conjugate_closed)
-
-
-def select_full_group_max_real(tol: float, conjugate_closed: bool = True):
-    """Selector choosing the mirror-symmetric eigenvalue group containing
-    the eigenvalue of largest absolute real part."""
-
-    def _select(values: np.ndarray) -> np.ndarray:
-        return _ranked_mirror_groups(values, tol, conjugate_closed)[0]
-
-    return _select
+    groups = group_mirror_eigenvalues(values, tol, conjugate_closed)
+    return values, s, sorted(
+        groups, key=lambda g: -float(np.abs(values[g].real).max())
+    )
 
 
 def _checked_eig(c: np.ndarray):
@@ -354,51 +315,3 @@ def eigenspace_pair_oracle(
         orthonormalize(s[:, idx]),
         values[idx],
     )
-
-
-def build_block_diagonalizer(
-    c: np.ndarray,
-    p: int,
-    x: np.ndarray | None = None,
-) -> np.ndarray:
-    """Similarity transform splitting a block-triangular matrix.
-
-    Given unitary ``x`` (default identity) such that T = X^H C X is block
-    upper triangular with a leading p-by-p block, solves the decoupling
-    Sylvester equation T11 L - L T22 = -T12 and returns
-    S = X [[I, L], [0, I]].  The first p columns of S span the right
-    invariant subspace for T11's spectrum, and the first p columns of
-    S^{-H} span the matching left one.
-    """
-    c = np.asarray(c)
-    n = c.shape[0]
-    if c.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
-    if not (1 <= p < n):
-        raise DimensionMismatchError(f"need 1 <= p < n, got p={p}, n={n}")
-    if x is None:
-        t = c
-        x = np.eye(n)
-    else:
-        x = np.asarray(x)
-        if x.shape != (n, n):
-            raise DimensionMismatchError(
-                f"transform is {x.shape}, expected {(n, n)}"
-            )
-        t = x.conj().T @ (c @ x)
-    lower = np.linalg.norm(t[p:, :p])
-    if lower > 1e-10 * max(1.0, np.linalg.norm(c, 2)):
-        raise ValueError(
-            f"matrix is not block upper triangular in the given basis "
-            f"(||T21|| = {lower:.3e})"
-        )
-    t11 = t[:p, :p]
-    t12 = t[:p, p:]
-    t22 = t[p:, p:]
-    if np.linalg.norm(t12) == 0.0:
-        coupling = np.zeros((p, n - p), dtype=t.dtype)
-    else:
-        coupling = sylvester_solve(t11, t22, -t12)
-    s = np.eye(n, dtype=np.promote_types(t.dtype, coupling.dtype))
-    s[:p, p:] = coupling
-    return x @ s

@@ -11,6 +11,7 @@ from grqi import (
     StepConfig,
     Subspace,
     SubspacePair,
+    choose_pencil_normalization,
     generalized_hermitian_step,
     grqi_step,
     hamiltonian_step,
@@ -26,11 +27,12 @@ from grqi import (
     residual_angle,
     run_hamiltonian,
     run_table1,
+    subspace_at_angle,
     trial_rng,
     tsgrqi_step,
     write_matrix,
 )
-from grqi.cli import _pencil_residual, cli
+from grqi.cli import cli
 
 runner = CliRunner()
 
@@ -376,10 +378,11 @@ def _in_memory_run(method, structure, files):
         oracle = SubspacePair(
             left=sub["--oracle-left"], right=sub["--oracle-right"]
         )
-        step = lambda s: pencil_tsgrqi_step(c, b, s, cfg=cfg)
+        coeffs = choose_pencil_normalization(c, b)
+        step = lambda s: pencil_tsgrqi_step(c, b, s, coeffs, cfg)
         residual = lambda s: max(
-            _pencil_residual(c, b, s.right),
-            _pencil_residual(c.conj().T, b.conj().T, s.left),
+            residual_angle(c, s.right, b),
+            residual_angle(c.conj().T, s.left, b.conj().T),
         )
         return iterate(step, state, cfg, residual=residual, oracle=oracle)
     if method == "grqi":
@@ -392,7 +395,7 @@ def _in_memory_run(method, structure, files):
         step = lambda y: generalized_hermitian_step(
             c, b, y, cfg, full_output=True
         )
-        right_res = lambda y: _pencil_residual(c, b, y)
+        right_res = lambda y: residual_angle(c, y, b)
     else:
         step = lambda y: one_sided_step(c, e, y, cfg, full_output=True)
     return iterate(
@@ -546,9 +549,9 @@ def test_refine_nonfinite_operand_exits_one(tmp_path, culprit, bad, extra):
     assert not (tmp_path / "t.csv").exists()
 
 
-def test_refine_records_residual_failure(tmp_path):
-    # grqi reaches the kernel of C exactly (C Y = 0), where the residual
-    # angle is undefined: a failure in the trace, not a crash.
+def test_refine_grqi_converges_onto_kernel_of_c(tmp_path):
+    # grqi reaches the kernel of C exactly (C Y = 0), an invariant
+    # subspace whose residual is zero.
     write_matrix(tmp_path / "c.mtx", np.diag([0.0, 1.0, 2.0, 3.0]))
     write_matrix(tmp_path / "y.mtx", np.array([[1.0], [1e-3], [2e-3], [-1e-3]]))
     out = tmp_path / "trace.csv"
@@ -561,13 +564,77 @@ def test_refine_records_residual_failure(tmp_path):
             "--out", str(out),
         ]
     )
-    assert result.exit_code == 3
-    assert "RankDeficientError" in result.output
+    assert result.exit_code == 0, result.output
     trace = read_traces(out)[0]
-    assert trace.status == "failure"
-    assert trace.failure_reason.startswith("RankDeficientError: ")
-    assert np.isnan(trace.records[-1].residual)
-    assert len(trace.records) > 1
+    assert trace.status == "converged"
+    assert trace.records[-1].residual == 0.0
+    assert len(trace.records) > 2
+
+
+def test_refine_exact_eigenspace_meeting_kernel_converges(tmp_path):
+    write_matrix(tmp_path / "c.mtx", np.diag([0.0, 1.0, 2.0, 3.0]))
+    write_matrix(tmp_path / "y.mtx", np.eye(4)[:, :2])
+    out = tmp_path / "trace.csv"
+    result = invoke(
+        [
+            "refine",
+            "--matrix", str(tmp_path / "c.mtx"),
+            "--right", str(tmp_path / "y.mtx"),
+            "--out", str(out),
+        ]
+    )
+    assert result.exit_code == 0, result.output
+    assert "status: converged after 1 step(s)" in result.output
+    assert read_traces(out)[0].records[0].residual == 0.0
+
+
+def _singular_b_pencil(tmp_path):
+    """Write a 12x12 pencil (A, B) with B singular (one infinite
+    eigenvalue), its deflating pair for the eigenvalues 1 and 2, and a
+    start 1e-3 away; returns the refine arguments naming them."""
+    rng = np.random.default_rng(12)
+    x, z = (
+        np.eye(12) + 0.1 * g / np.linalg.norm(g, 2)
+        for g in rng.standard_normal((2, 12, 12))
+    )
+    z_inv = np.linalg.inv(z)
+    a = x @ np.diag(np.arange(1.0, 13.0)) @ z_inv
+    b = x @ np.diag([1.0] * 11 + [0.0]) @ z_inv
+    right = orthonormalize(z[:, :2])
+    left = orthonormalize(np.linalg.inv(x).conj().T[:, :2])
+    arrays = {
+        "matrix": a, "b-matrix": b,
+        "oracle-right": right.basis, "oracle-left": left.basis,
+        "right": subspace_at_angle(right, 1e-3, rng).basis,
+        "left": subspace_at_angle(left, 1e-3, rng).basis,
+    }
+    args = ["--method", "pencil"]
+    for flag, value in arrays.items():
+        write_matrix(tmp_path / f"{flag}.mtx", value)
+        args += [f"--{flag}", str(tmp_path / f"{flag}.mtx")]
+    return args, a, b
+
+
+def test_refine_pencil_with_singular_b_converges(tmp_path):
+    args, _, b = _singular_b_pencil(tmp_path)
+    assert np.linalg.matrix_rank(b) == 11
+    out = tmp_path / "trace.csv"
+    result = invoke(["refine", "--out", str(out)] + args)
+    assert result.exit_code == 0, result.output
+    trace = read_traces(out)[0]
+    assert trace.status == "converged"
+    assert trace.records[-1].err_sum <= 1e-12
+
+
+def test_refine_pencil_without_normalization_exits_three(tmp_path):
+    # A and B share a null vector, so every alpha B - beta A is singular.
+    args, a, b = _singular_b_pencil(tmp_path)
+    null = np.linalg.svd(b)[2][-1].conj()
+    write_matrix(tmp_path / "matrix.mtx", a - np.outer(a @ null, null))
+    out = tmp_path / "trace.csv"
+    result = invoke(["refine", "--out", str(out)] + args)
+    assert result.exit_code == 3
+    assert "DegeneratePencilError: no normalization" in result.output
 
 
 # --------------------------------------------------------------------- gen

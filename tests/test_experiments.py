@@ -12,6 +12,7 @@ from grqi import (
     IterationTrace,
     MissingOracleError,
     NearDefectiveError,
+    ParseError,
     format_table,
     complement_basis,
     full_eigenspace_targets,
@@ -535,3 +536,51 @@ def test_read_traces_rejects_garbage(tmp_path):
     path.write_text("not,a,trace\n1,2,3\n")
     with pytest.raises(Exception):
         read_traces(path)
+
+
+def _two_trial_csv(tmp_path):
+    """A trace file of a converged and a failed trial, two rows each; the
+    rows are lines 2-5."""
+    traces = [
+        IterationTrace(
+            [IterationRecord(index=k, residual=0.1 * k) for k in range(2)],
+            status,
+            reason,
+        )
+        for status, reason in ((CONVERGED, None), (FAILURE, "E: why"))
+    ]
+    path = tmp_path / "t.csv"
+    write_traces(path, traces)
+    return path, traces
+
+
+@pytest.mark.parametrize(
+    "line,old,new,message",
+    [
+        (2, ",converged,", ",bogus,", "unknown status 'bogus'"),
+        (3, ",converged,", ",failure,", "changed in trial 0"),
+        (5, "E: why", "E: other", "changed in trial 1"),
+        (4, ",0,nan,failure", ",7,nan,failure", "malformed row"),
+        (3, "0,1,", "0,2,", "iterate 2, expected 1"),
+        (3, "0,1,", "0,0,", "iterate 0, expected 1"),
+        (2, "0,0,", "0,1,", "iterate 1, expected 0"),
+        (4, "1,0,", "2,0,", "trial column jumped to 2"),
+    ],
+    ids=["status", "status-change", "reason-change", "perturbed",
+         "iterate-skips", "iterate-repeats", "iterate-start", "trial-skips"],
+)
+def test_read_traces_rejects_corrupt_rows(tmp_path, line, old, new, message):
+    path, traces = _two_trial_csv(tmp_path)
+    back = read_traces(path)
+    assert [(t.status, t.failure_reason) for t in back] == [
+        (t.status, t.failure_reason) for t in traces
+    ]
+    assert all(records_match(a, b) for t, u in zip(traces, back)
+               for a, b in zip(t.records, u.records))
+    lines = path.read_text().splitlines(keepends=True)
+    assert old in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
+    path.write_text("".join(lines))
+    with pytest.raises(ParseError, match=message) as info:
+        read_traces(path)
+    assert info.value.line == line

@@ -9,6 +9,7 @@ from grqi import (
     MAX_ITERS,
     NearDefectiveError,
     NotHermitianError,
+    RankDeficientError,
     SpectraOverlapError,
     StepConfig,
     Subspace,
@@ -471,14 +472,20 @@ def test_iterate_captures_step_failure():
 
 
 def test_iterate_captures_residual_failure():
-    # From near e1, the iterate reaches the kernel of C exactly, so C Y = 0
-    # and the residual cannot be formed.
+    # From near e1, the iterate reaches the kernel of C exactly, where
+    # this residual refuses C Y = 0.
     c = np.diag([0.0, 1.0, 2.0, 3.0])
     start = orthonormalize(np.array([[1.0], [1e-3], [2e-3], [-1e-3]]))
+
+    def residual(y):
+        if not np.any(c @ y.basis):
+            raise RankDeficientError("C Y = 0")
+        return residual_angle(c, y)
+
     trace = iterate(
         lambda s: grqi_step(c, s, full_output=True),
         start,
-        residual=lambda s: residual_angle(c, s),
+        residual=residual,
         oracle=Subspace(np.eye(4)[:, :1]),
     )
     assert trace.status == FAILURE

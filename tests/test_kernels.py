@@ -211,10 +211,59 @@ def test_hermitian_angle_zero_vector():
 # ---------------------------------------------------------- residual_angle
 
 
+def reference_residual_angle(c, y):
+    """The largest principal angle between span(Y) and span(C Y), the
+    residual before the block form, kept as a reference; it cannot be
+    formed when C Y loses rank."""
+    return largest_principal_angle(y, orthonormalize(c @ y.basis))
+
+
 def test_residual_angle_invariant_subspace():
     c = np.diag([1.0, 2.0, 3.0, 4.0])
     y = Subspace(np.eye(4)[:, :2])
     assert residual_angle(c, y) <= 1e-12
+
+
+def test_residual_angle_zero_on_exact_invariant_subspaces():
+    rng = np.random.default_rng(SEED + 40)
+    triangular = np.triu(random_complex(rng, 7, 7))
+    triangular[3:, :3] = 0.0
+    triangular[:3, :3] = random_complex(rng, 3, 3)
+    cases = [
+        (np.diag([0.0, 1.0, 2.0, 3.0]), np.eye(4)[:, :2]),  # meets ker C
+        (np.zeros((5, 5)), np.eye(5)[:, :3]),  # C Y = 0
+        (triangular, np.eye(7)[:, :3]),
+    ]
+    for c, y in cases:
+        assert residual_angle(c, Subspace(y)) <= 1e-14
+        assert residual_angle(c, Subspace(y), np.eye(len(c))) <= 1e-14
+
+
+def test_residual_angle_never_exceeds_reference():
+    rng = np.random.default_rng(SEED + 41)
+    for case in range(400):
+        n, p = int(rng.integers(6, 61)), int(rng.integers(1, 6))
+        if case % 2:
+            c, y = random_complex(rng, n, n), random_complex(rng, n, p)
+        else:
+            c, y = rng.standard_normal((n, n)), rng.standard_normal((n, p))
+        y = orthonormalize(y)
+        got = residual_angle(c, y)
+        assert got <= reference_residual_angle(c, y) * (1.0 + 1e-9)
+        # Near pi/2 arcsin magnifies the rounding of the norm ratio, so
+        # B = I is held to the ratio, the sine of the angle.
+        with_identity = residual_angle(c, y, np.eye(n))
+        assert abs(np.sin(with_identity) - np.sin(got)) <= 1e-15
+
+
+def test_residual_angle_below_reference_when_a_small_column_leaks():
+    # C Y = [100 e1, e2 + e3]: span(C Y) is 45 degrees from span(Y), but
+    # the part of C Y outside span(Y) is 1/100 of its norm.
+    c = np.diag([100.0, 1.0, 1.0])
+    c[2, 1] = 1.0
+    y = Subspace(np.eye(3)[:, :2])
+    assert reference_residual_angle(c, y) == pytest.approx(np.pi / 4)
+    assert residual_angle(c, y) == pytest.approx(np.arcsin(0.01))
 
 
 def test_residual_angle_full_space():
@@ -356,11 +405,13 @@ def test_stacked_residual_angles_match_one_matrix_calls():
     c[1, :, :2] = 0.0  # C Y = 0 on Y = span(e1, e2)
     y = np.stack([orthonormalize(rng.standard_normal((8, 2))).basis] * 3)
     y[1] = np.eye(8)[:, :2]
-    angles, failures = _residual_angles(c, y)
-    for t in (0, 2):
-        assert failures[t] is None
+    b = rng.standard_normal((3, 8, 8))
+    angles = _residual_angles(c, y)
+    pencil = _residual_angles(c, y, b)
+    for t in range(3):
         assert angles[t] == residual_angle(c[t], Subspace(y[t]))
-    assert isinstance(failures[1], RankDeficientError)
+        assert pencil[t] == residual_angle(c[t], Subspace(y[t]), b[t])
+    assert angles[1] == 0.0
 
 
 # ------------------------------------------------------------ shifted_solve
@@ -502,7 +553,6 @@ def test_solve_eps_formula():
     c = np.diag([3.0, 4.0])
     u = np.finfo(np.float64).eps
     assert solve_eps(c) == pytest.approx(1e3 * u * 5.0)
-    assert solve_eps(c, scale=10.0) == pytest.approx(10.0 * u * 5.0)
 
 
 # ----------------------------------------------------------- sylvester_solve

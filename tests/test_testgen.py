@@ -10,7 +10,6 @@ from grqi import (
     OddDimensionError,
     Subspace,
     UnpairedEigenvalueError,
-    build_block_diagonalizer,
     complement_basis,
     eigenspace_pair_oracle,
     group_mirror_eigenvalues,
@@ -21,12 +20,11 @@ from grqi import (
     random_e_hermitian,
     random_e_skew_hermitian,
     random_hamiltonian,
-    select_full_group_max_real,
-    select_matching,
     select_top_modulus,
     subspace_at_angle,
     trial_rng,
 )
+from grqi.testgen import _mirror_groups
 
 SEED = 31415
 
@@ -224,17 +222,6 @@ def test_select_top_modulus_basic():
     assert sorted(idx) == [1, 2]
 
 
-def test_select_matching_finds_requested_values():
-    values = np.array([2.0 + 1j, -1.0, 0.5], dtype=complex)
-    idx = select_matching([-1.0, 2.0 + 1j])(values)
-    assert list(idx) == [1, 0]
-
-
-def test_select_matching_rejects_missing_target():
-    with pytest.raises(NotSpectralError):
-        select_matching([5.0])(np.array([1.0, 2.0], dtype=complex))
-
-
 # -------------------------------------------------- mirror eigenvalue groups
 
 
@@ -284,19 +271,6 @@ def test_group_mirror_partition_property():
             for lam in sub:
                 assert np.min(np.abs(sub - (-np.conj(lam)))) <= tol
                 assert np.min(np.abs(sub - np.conj(lam))) <= tol
-
-
-def test_select_full_group_max_real_on_hamiltonian():
-    rng = trial_rng(SEED + 10)
-    for _ in range(20):
-        h = random_hamiltonian(8, rng)
-        vals = np.linalg.eigvals(h)
-        tol = 1e-8 * max(1.0, np.abs(vals).max())
-        idx = select_full_group_max_real(tol)(vals)
-        assert len(idx) in (2, 4)
-        assert np.isclose(
-            np.abs(vals[idx].real).max(), np.abs(vals.real).max(), rtol=1e-10
-        )
 
 
 def reference_group_mirror_eigenvalues(values, tol, conjugate_closed=False):
@@ -416,8 +390,8 @@ def test_group_mirror_order_contract():
     assert [list(g) for g in groups] == [[3], [1], [6, 7], [4, 5], [0, 2]]
     closed = group_mirror_eigenvalues(vals, 1e-8, conjugate_closed=True)
     assert [list(g) for g in closed] == [[1, 3], [4, 5, 6, 7], [0, 2]]
-    # Of the two mirror pairs with |Re| = 2 the earlier group is chosen.
-    assert list(select_full_group_max_real(1e-8, False)(vals)) == [6, 7]
+    # Of the two mirror pairs with |Re| = 2 the earlier group ranks first.
+    assert list(_mirror_groups(np.diag(vals), False)[2][0]) == [6, 7]
 
 
 def test_group_mirror_unpaired_message_names_the_image():
@@ -441,9 +415,11 @@ def test_eigenspace_pair_oracle_diagonal_case():
 def test_eigenspace_pair_oracle_roundtrip_with_generator():
     rng = trial_rng(SEED + 11)
     prob = random_diagonalizable(10, 3, rng)
-    left, right, spectrum = eigenspace_pair_oracle(
-        prob.matrix, select_matching(prob.spectrum)
-    )
+
+    def nearest(values):
+        return [int(np.argmin(np.abs(values - t))) for t in prob.spectrum]
+
+    left, right, spectrum = eigenspace_pair_oracle(prob.matrix, nearest)
     assert largest_principal_angle(right, prob.oracle_right) <= 1e-9
     assert largest_principal_angle(left, prob.oracle_left) <= 1e-9
     assert np.allclose(np.sort_complex(spectrum), np.sort_complex(prob.spectrum))
@@ -477,54 +453,3 @@ def test_eigenspace_pair_oracle_rejects_near_defective():
     c = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]])
     with pytest.raises(NearDefectiveError):
         eigenspace_pair_oracle(c, select_top_modulus(1))
-
-
-# ------------------------------------------------ build_block_diagonalizer
-
-
-def test_block_diagonalizer_2x2_closed_form():
-    s = build_block_diagonalizer(np.array([[1.0, 1.0], [0.0, 2.0]]), 1)
-    assert np.allclose(s, [[1.0, 1.0], [0.0, 1.0]])
-    t = np.linalg.solve(s, np.array([[1.0, 1.0], [0.0, 2.0]])) @ s
-    assert np.allclose(t, np.diag([1.0, 2.0]))
-
-
-def test_block_diagonalizer_already_block_diagonal():
-    c = np.diag([1.0, 2.0, 7.0])
-    s = build_block_diagonalizer(c, 2)
-    assert np.allclose(s, np.eye(3))
-
-
-def test_block_diagonalizer_random_triangular():
-    rng = trial_rng(SEED + 13)
-    n, p = 8, 3
-    t = np.triu(rng.standard_normal((n, n))) + np.diag(np.arange(1.0, n + 1.0))
-    s = build_block_diagonalizer(t, p)
-    d = np.linalg.solve(s, t) @ s
-    scale = np.linalg.norm(t, 2)
-    assert np.linalg.norm(d[:p, p:], 2) <= 1e-9 * scale
-    assert np.linalg.norm(d[p:, :p], 2) <= 1e-9 * scale
-    # first columns of S and S^{-H} span the right and left eigenspaces
-    right = orthonormalize(s[:, :p])
-    left = orthonormalize(np.linalg.inv(s).conj().T[:, :p])
-    m = right.basis.conj().T @ (t @ right.basis)
-    assert np.linalg.norm(t @ right.basis - right.basis @ m, 2) <= 1e-8 * scale
-    nmat = left.basis.conj().T @ (t.conj().T @ left.basis)
-    assert np.linalg.norm(t.conj().T @ left.basis - left.basis @ nmat, 2) <= 1e-8 * scale
-
-
-def test_block_diagonalizer_with_unitary_transform():
-    rng = trial_rng(SEED + 14)
-    n, p = 6, 2
-    t = np.triu(rng.standard_normal((n, n))) + np.diag(np.arange(1.0, n + 1.0))
-    x = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    c = x @ t @ x.conj().T
-    s = build_block_diagonalizer(c, p, x)
-    d = np.linalg.solve(s, c) @ s
-    assert np.linalg.norm(d[:p, p:], 2) <= 1e-9 * np.linalg.norm(c, 2)
-
-
-def test_block_diagonalizer_rejects_lower_blocks():
-    c = np.array([[1.0, 0.0], [1.0, 2.0]])
-    with pytest.raises(ValueError):
-        build_block_diagonalizer(c, 1)
