@@ -1,0 +1,122 @@
+"""Run a fixed battery of grqi commands and print a digest of its outputs.
+
+    python scripts/output_digest.py OUT_DIR
+
+The battery runs through ``grqi.cli`` in-process with one BLAS thread:
+``gen`` of every kind at three (seed, trial) streams, ``refine`` of each
+instance by ``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided
+structure, ``pencil`` and ``one-sided --structure generalized`` with the
+e-hermitian instance's E as B, both studies at seed 11 with 300 trials,
+and the 66-trial Hamiltonian run at seed 5023667284082138044.  Outputs go
+under OUT_DIR (new or empty), with ``runs.txt`` holding each command's
+exit code and output other than paths and wall times.  One line
+``<file> <sha256>`` is printed per file, and one line
+``<file>:<column> <sha256>`` per column of a trace CSV, so a ``diff`` of
+two trees' digests names the files and columns that moved.
+"""
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import hashlib  # noqa: E402
+import pathlib  # noqa: E402
+
+from click.testing import CliRunner  # noqa: E402
+
+from grqi.cli import cli  # noqa: E402
+
+KINDS = ("diagonalizable", "hamiltonian", "e-hermitian", "e-skew-hermitian")
+STREAMS = ((0, 0), (3, 7), (11, 42))
+
+
+def battery(out: pathlib.Path):
+    """Yield (label, grqi arguments) for every command of the battery."""
+    for kind in KINDS:
+        for seed, trial in STREAMS:
+            name = f"{kind}_s{seed}_t{trial}"
+            d = out / "gen" / name
+            yield f"gen {name}", [
+                "gen", "--kind", kind, "--n", "20", "--p", "5",
+                "--seed", str(seed), "--trial", str(trial), "--out", str(d),
+            ]
+            right = ["--right", str(d / "start_right.mtx"),
+                     "--oracle-right", str(d / "oracle_right.mtx")]
+            left = ["--left", str(d / "start_left.mtx"),
+                    "--oracle-left", str(d / "oracle_left.mtx")]
+            runs = {
+                "tsgrqi": right + left,
+                "newton": right + ["--method", "newton"],
+                "grqi": right + ["--method", "grqi"],
+            }
+            if kind != "diagonalizable":
+                runs[kind] = right + [
+                    "--method", "one-sided", "--structure", kind,
+                ] + (["--e-matrix", str(d / "e.mtx")] if kind != "hamiltonian"
+                     else [])
+            if kind == "e-hermitian":
+                b = ["--b-matrix", str(d / "e.mtx")]
+                runs["pencil"] = right + left + b + ["--method", "pencil"]
+                runs["generalized"] = right + b + [
+                    "--method", "one-sided", "--structure", "generalized",
+                ]
+            for method, args in runs.items():
+                yield f"refine {name} {method}", [
+                    "refine", "--matrix", str(d / "matrix.mtx"), *args,
+                    "--out", str(out / "refine" / f"{name}_{method}.csv"),
+                ]
+    studies = (("table1", "11", "300"), ("hamiltonian", "11", "300"),
+               ("hamiltonian", "5023667284082138044", "66"))
+    for study, seed, trials in studies:
+        stem = out / "study" / f"{study}_s{seed}_n{trials}"
+        yield f"experiment {study} seed {seed}", [
+            "experiment", study, "--seed", seed, "--trials", trials,
+            "--out", f"{stem}.json", "--trace", f"{stem}.csv",
+        ]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(out: pathlib.Path):
+    """Yield one digest line per file, or per column of a CSV file."""
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name = path.relative_to(out).as_posix()
+        if path.suffix != ".csv":
+            yield f"{name} {sha256(path.read_bytes())}"
+            continue
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        for j, column in enumerate(header):
+            values = "\n".join(row[j] for row in rows)
+            yield f"{name}:{column} {sha256(values.encode())}"
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out_dir", type=pathlib.Path)
+    out = ap.parse_args().out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        ap.error(f"{out} is not empty")
+    for sub in ("refine", "study"):
+        (out / sub).mkdir()
+
+    runner = CliRunner()
+    log = []
+    for label, args in battery(out):
+        result = runner.invoke(cli, args)
+        kept = [line for line in result.output.splitlines()
+                if not line.startswith(("wrote ", "wall time: "))]
+        log.append(f"{label}: exit {result.exit_code}")
+        log += [f"  {line}" for line in kept]
+    (out / "runs.txt").write_text("\n".join(log) + "\n")
+    for line in digest_lines(out):
+        print(line)
+
+
+if __name__ == "__main__":
+    main()

@@ -52,14 +52,9 @@ from .iterations import (
     two_sided_rqi_step,
 )
 from .structured import (
-    EHermitian,
-    ESkewHermitian,
-    GeneralizedHermitian,
-    HamiltonianJ,
+    STRUCTURES,
     PencilCoefficients,
     PencilPair,
-    Plain,
-    SkewHamiltonianJ,
     StructureCheck,
     TargetGroup,
     apply_j,

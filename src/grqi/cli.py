@@ -39,12 +39,8 @@ from .iterations import (
 from .kernels import Subspace, orthonormalize, residual_angle
 from .mmio import read_matrix, write_matrix
 from .structured import (
-    EHermitian,
-    ESkewHermitian,
-    GeneralizedHermitian,
-    HamiltonianJ,
+    STRUCTURES,
     PencilPair,
-    SkewHamiltonianJ,
     check_structure,
     choose_pencil_normalization,
     generalized_hermitian_step,
@@ -55,20 +51,19 @@ from .structured import (
 
 _EXIT_CODE = {CONVERGED: 0, MAX_ITERS: 2, FAILURE: 3}
 
-# --structure -> (claimed kind built from (C, B, E), operand it needs)
-_STRUCTURES = {
-    "none": (None, None),
-    "e-hermitian": (lambda c, b, e: EHermitian(e), "e"),
-    "e-skew-hermitian": (lambda c, b, e: ESkewHermitian(e), "e"),
-    "hamiltonian": (lambda c, b, e: HamiltonianJ(), None),
-    "skew-hamiltonian": (lambda c, b, e: SkewHamiltonianJ(), None),
-    "generalized": (lambda c, b, e: GeneralizedHermitian(c, b), "b"),
-}
-
 
 def _fail_usage(message: str):
     click.echo(message, err=True)
     sys.exit(1)
+
+
+def _check_out(*paths):
+    """Exit before any work unless every given path names a file in an
+    existing directory."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.path.isdir(folder):
+            _fail_usage(f"{path}: not a file path in an existing directory")
 
 
 def _pencil_step(c, b, e, cfg):
@@ -168,7 +163,7 @@ def cli():
 @click.option("--right", required=True, type=click.Path(), help="starting right subspace basis")
 @click.option("--left", type=click.Path(), help="starting left subspace basis (defaults to the right one)")
 @click.option("--method", type=click.Choice(tuple(dict.fromkeys(m for m, _ in _METHODS))), default="tsgrqi", show_default=True)
-@click.option("--structure", type=click.Choice(tuple(_STRUCTURES)), default="none", show_default=True, help="claimed structure, verified before the run")
+@click.option("--structure", type=click.Choice(("none", *STRUCTURES)), default="none", show_default=True, help="claimed structure, verified before the run")
 @click.option("--e-matrix", type=click.Path(), help="E operator file for the e-* structures")
 @click.option("--b-matrix", type=click.Path(), help="B matrix file for generalized/pencil runs")
 @click.option("--strict", is_flag=True, help="refuse to run when the structure check fails")
@@ -186,13 +181,14 @@ def refine(
         scfg = StepConfig(max_iters=max_iters, angle_tol=tol)
     except ValueError as exc:
         _fail_usage(str(exc))
+    _check_out(out)
     c = _load_matrix(matrix)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         _fail_usage(f"{matrix}: matrix must be square, got {c.shape}")
     b = _load_matrix(b_matrix, c) if b_matrix else None
     e = _load_matrix(e_matrix, c) if e_matrix else None
 
-    kind, needs = _STRUCTURES[structure]
+    needs = STRUCTURES.get(structure, (None,))[0]
     if needs and {"b": b, "e": e}[needs] is None:
         _fail_usage(f"--structure {structure} needs --{needs}-matrix")
     entry = _METHODS.get((method, None)) or _METHODS.get((method, structure))
@@ -202,9 +198,9 @@ def refine(
     if pencil and b is None:
         _fail_usage(f"--method {method} needs --b-matrix")
 
-    if kind is not None:
+    if structure != "none":
         try:
-            chk = check_structure((c, b) if needs == "b" else c, kind(c, b, e))
+            chk = check_structure(c, structure, b=b, e=e)
         except GrqiError as exc:
             _fail_usage(str(exc))
         if not chk.ok:
@@ -267,6 +263,7 @@ def experiment():
 
 
 def _run_experiment(runner, cfg, out, trace_path):
+    _check_out(out, trace_path)
     summary, traces = runner(cfg)
     click.echo(format_table(summary))
     click.echo(
@@ -294,12 +291,10 @@ def _run_experiment(runner, cfg, out, trace_path):
 @click.option("--start-distance", default=0.1, show_default=True)
 @click.option("--max-iters", default=5, show_default=True)
 @click.option("--workers", default=1, show_default=True)
-@click.option("--full", is_flag=True, help="run the full-scale 10^6 trials")
 @click.option("--out", type=click.Path(), help="JSON summary output path")
 @click.option("--trace", "trace_path", type=click.Path(), help="CSV trace output path")
 def experiment_table1(
-    n, p, trials, seed, start_distance, max_iters, workers, full, out,
-    trace_path,
+    n, p, trials, seed, start_distance, max_iters, workers, out, trace_path,
 ):
     """Per-iterate error statistics of the two-sided step on random
     diagonalizable matrices."""
@@ -308,7 +303,7 @@ def experiment_table1(
             experiment="table1",
             n=n,
             p=p,
-            trials=10**6 if full else trials,
+            trials=trials,
             seed=seed,
             start_distance=start_distance,
             max_iters=max_iters,
@@ -325,11 +320,10 @@ def experiment_table1(
 @click.option("--seed", default=0, show_default=True)
 @click.option("--start-distance", default=0.1, show_default=True)
 @click.option("--workers", default=1, show_default=True)
-@click.option("--full", is_flag=True, help="run the full-scale 10^6 trials")
 @click.option("--out", type=click.Path(), help="JSON summary output path")
 @click.option("--trace", "trace_path", type=click.Path(), help="CSV trace output path")
 def experiment_hamiltonian(
-    n, trials, seed, start_distance, workers, full, out, trace_path
+    n, trials, seed, start_distance, workers, out, trace_path
 ):
     """Success-rate study of the structure-exploiting step on random
     Hamiltonian matrices (ten steps, success below 1e-12)."""
@@ -337,7 +331,7 @@ def experiment_hamiltonian(
         cfg = ExperimentConfig(
             experiment="hamiltonian",
             n=n,
-            trials=10**6 if full else trials,
+            trials=trials,
             seed=seed,
             start_distance=start_distance,
             max_iters=10,

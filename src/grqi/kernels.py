@@ -268,15 +268,21 @@ def _residual_angles(c: np.ndarray, y: np.ndarray, b=None) -> np.ndarray:
     cy = c @ y
     q = y if b is None else np.linalg.qr(b @ y)[0]
     leak = np.linalg.norm(cy - q @ (_adjoint(q) @ cy), 2, axis=(-2, -1))
-    scale = np.linalg.norm(cy, 2, axis=(-2, -1))
+    scale = np.maximum(
+        np.linalg.norm(cy, 2, axis=(-2, -1)),
+        np.linalg.norm(c, axis=(-2, -1)) / np.sqrt(c.shape[-1]),
+    )
     ratio = np.divide(leak, scale, out=np.zeros_like(scale), where=scale > 0)
     return np.arcsin(np.minimum(ratio, 1.0))
 
 
 def residual_angle(c: np.ndarray, y: Subspace, b=None) -> float:
     """Angle by which span(C Y) leaves span(B Y), B the identity when ``b``
-    is None: arcsin ||C Y - Q Q^H C Y||_2 / ||C Y||_2 for an orthonormal
-    basis Q of span(B Y) (Y itself without ``b``), and 0 when C Y = 0.
+    is None: arcsin ||C Y - Q Q^H C Y||_2 / max(||C Y||_2, ||C||_F/sqrt(n))
+    for an orthonormal basis Q of span(B Y) (Y itself without ``b``), and
+    0 when C = 0.  Both terms of the scale are lower bounds of ||C||_2, so
+    the angle is never below arcsin ||C Y - Q Q^H C Y||_2 / ||C||_2, and
+    it stays small on subspaces near the kernel of C.
 
     Zero exactly on invariant subspaces of C (deflating subspaces of the
     pencil (C, B)), also those that meet the kernel of C.  Without ``b``

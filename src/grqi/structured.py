@@ -32,12 +32,7 @@ from .kernels import Subspace, orthonormalize
 from .testgen import _mirror_groups
 
 __all__ = [
-    "Plain",
-    "EHermitian",
-    "ESkewHermitian",
-    "HamiltonianJ",
-    "SkewHamiltonianJ",
-    "GeneralizedHermitian",
+    "STRUCTURES",
     "PencilCoefficients",
     "PencilPair",
     "StructureCheck",
@@ -58,45 +53,17 @@ _STRUCT_RTOL = 1e-10
 _PENCIL_COND_LIMIT = 1e8
 _PENCIL_TRIES = 50
 
-
-@dataclass(frozen=True)
-class Plain:
-    """No structure assumed."""
-
-
-@dataclass(frozen=True, eq=False)
-class EHermitian:
-    """Structure E C = C^H E for the stored invertible E (E^H = +/-E)."""
-
-    e: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ESkewHermitian:
-    """Structure E C = -C^H E for the stored invertible E (E^H = +/-E)."""
-
-    e: np.ndarray
-
-
-@dataclass(frozen=True)
-class HamiltonianJ:
-    """(C J)^H = C J for the block symplectic form J; equivalently C is
-    E-skew-Hermitian with E = J."""
-
-
-@dataclass(frozen=True)
-class SkewHamiltonianJ:
-    """(C J)^H = -(C J) for the block symplectic form J; equivalently C is
-    E-Hermitian with E = J."""
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralizedHermitian:
-    """Hermitian pencil structure: both stored matrices Hermitian,
-    B invertible."""
-
-    a: np.ndarray
-    b: np.ndarray
+# Claimed structure -> (operand paired with C: "e" for E, "b" for B,
+# None for the block symplectic form J; sign s of E C = s C^H E, None
+# for a Hermitian pencil (C, B) with B invertible).  Hamiltonian means
+# (C J)^H = C J, that is C is E-skew-Hermitian with E = J.
+STRUCTURES = {
+    "e-hermitian": ("e", 1.0),
+    "e-skew-hermitian": ("e", -1.0),
+    "hamiltonian": (None, -1.0),
+    "skew-hamiltonian": (None, 1.0),
+    "generalized": ("b", None),
+}
 
 
 @dataclass(frozen=True)
@@ -168,48 +135,42 @@ def j_matrix(n: int) -> np.ndarray:
     return j
 
 
-def _pairing_defect(c: np.ndarray, e: np.ndarray, sign: float) -> float:
-    """Norm of E C - sign * C^H E, relative scale left to the caller."""
-    return float(np.linalg.norm(e @ c - sign * (c.conj().T @ e), 2))
+def check_structure(c, structure: str, *, b=None, e=None) -> StructureCheck:
+    """Verify the claim ``structure``, a key of :data:`STRUCTURES`, about
+    the square matrix C, returning (ok, defect norm).
 
-
-def check_structure(matrices, kind) -> StructureCheck:
-    """Verify a claimed structure, returning (ok, defect norm).
-
-    ``matrices`` is the square matrix itself, or the tuple (A, B) for
-    :class:`GeneralizedHermitian`.  The defect is compared against
-    ``1e-10`` times the natural norm scale of the operands.
+    The claim reads the operand its entry names (``b`` or ``e``, of C's
+    shape) or the dense J.  The defect, ||E C - s C^H E||_2 or the larger
+    of ||C - C^H||_2 and ||B - B^H||_2, is compared against ``1e-10``
+    times the natural norm scale of the operands.
     """
-    if isinstance(kind, Plain):
-        return StructureCheck(True, 0.0)
-    if isinstance(kind, GeneralizedHermitian):
-        a, b = matrices
-        a = np.asarray(a)
-        b = np.asarray(b)
-        defect = max(
-            float(np.linalg.norm(a - a.conj().T, 2)),
-            float(np.linalg.norm(b - b.conj().T, 2)),
+    if structure not in STRUCTURES:
+        raise ValueError(
+            f"unknown structure {structure!r}, expected one of "
+            f"{', '.join(STRUCTURES)}"
         )
-        scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2), 1.0)
-        return StructureCheck(defect <= _STRUCT_RTOL * scale, defect)
-    c = np.asarray(matrices)
+    operand, sign = STRUCTURES[structure]
+    c = np.asarray(c)
     n = c.shape[0]
     if c.shape != (n, n):
         raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
-    if isinstance(kind, (HamiltonianJ, SkewHamiltonianJ)):
-        e = j_matrix(n)
-        sign = -1.0 if isinstance(kind, HamiltonianJ) else 1.0
-    elif isinstance(kind, (EHermitian, ESkewHermitian)):
-        e = np.asarray(kind.e)
-        if e.shape != (n, n):
-            raise DimensionMismatchError(
-                f"E is {e.shape}, expected {(n, n)}"
-            )
-        sign = 1.0 if isinstance(kind, EHermitian) else -1.0
+    if operand is None:
+        m = j_matrix(n)
     else:
-        raise TypeError(f"unknown structure kind {kind!r}")
-    defect = _pairing_defect(c, e, sign)
-    scale = float(np.linalg.norm(e, 2) * np.linalg.norm(c, 2))
+        m = np.asarray({"b": b, "e": e}[operand])
+        if m.shape != (n, n):
+            raise DimensionMismatchError(
+                f"{operand.upper()} is {m.shape}, expected {(n, n)}"
+            )
+    if sign is None:
+        defect = max(
+            float(np.linalg.norm(c - c.conj().T, 2)),
+            float(np.linalg.norm(m - m.conj().T, 2)),
+        )
+        scale = max(np.linalg.norm(c, 2), np.linalg.norm(m, 2), 1.0)
+        return StructureCheck(defect <= _STRUCT_RTOL * scale, defect)
+    defect = float(np.linalg.norm(m @ c - sign * (c.conj().T @ m), 2))
+    scale = float(np.linalg.norm(m, 2) * np.linalg.norm(c, 2))
     return StructureCheck(defect <= _STRUCT_RTOL * max(scale, 1.0), defect)
 
 

@@ -550,8 +550,8 @@ def test_refine_nonfinite_operand_exits_one(tmp_path, culprit, bad, extra):
 
 
 def test_refine_grqi_converges_onto_kernel_of_c(tmp_path):
-    # grqi reaches the kernel of C exactly (C Y = 0), an invariant
-    # subspace whose residual is zero.
+    # grqi nears the kernel of C cubically; the residual, scaled by a
+    # norm of C rather than of C Y, sees it within three steps.
     write_matrix(tmp_path / "c.mtx", np.diag([0.0, 1.0, 2.0, 3.0]))
     write_matrix(tmp_path / "y.mtx", np.array([[1.0], [1e-3], [2e-3], [-1e-3]]))
     out = tmp_path / "trace.csv"
@@ -567,8 +567,34 @@ def test_refine_grqi_converges_onto_kernel_of_c(tmp_path):
     assert result.exit_code == 0, result.output
     trace = read_traces(out)[0]
     assert trace.status == "converged"
-    assert trace.records[-1].residual == 0.0
-    assert len(trace.records) > 2
+    assert len(trace.records) - 1 <= 3
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["refine", "--matrix", "absent.mtx", "--right", "absent.mtx"], "--out"),
+    (["experiment", "table1"], "--out"),
+    (["experiment", "table1"], "--trace"),
+    (["experiment", "hamiltonian"], "--out"),
+    (["experiment", "hamiltonian"], "--trace"),
+], ids=["refine-out", "table1-out", "table1-trace", "hamiltonian-out",
+        "hamiltonian-trace"])
+@pytest.mark.parametrize("target", ["missing/t.out", "."],
+                         ids=["missing-dir", "is-dir"])
+def test_unwritable_output_path_exits_before_any_work(
+    tmp_path, monkeypatch, command, flag, target
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path check")
+
+    monkeypatch.setattr("grqi.cli.run_table1", refuse)
+    monkeypatch.setattr("grqi.cli.run_hamiltonian", refuse)
+    monkeypatch.chdir(tmp_path)
+    result = invoke(command + [flag, target])
+    assert result.exit_code == 1
+    assert f"{target}: not a file path in an existing directory" in (
+        result.output
+    )
+    assert not (tmp_path / "missing").exists()
 
 
 def test_refine_exact_eigenspace_meeting_kernel_converges(tmp_path):

@@ -250,10 +250,22 @@ def test_residual_angle_never_exceeds_reference():
         y = orthonormalize(y)
         got = residual_angle(c, y)
         assert got <= reference_residual_angle(c, y) * (1.0 + 1e-9)
+        # The relative backward error ||R||_2 / ||C||_2 bounds it below.
+        cy = c @ y.basis
+        leak = np.linalg.norm(cy - y.basis @ (y.basis.conj().T @ cy), 2)
+        backward = np.arcsin(leak / np.linalg.norm(c, 2))
+        assert backward <= got * (1.0 + 1e-9)
         # Near pi/2 arcsin magnifies the rounding of the norm ratio, so
         # B = I is held to the ratio, the sine of the angle.
         with_identity = residual_angle(c, y, np.eye(n))
         assert abs(np.sin(with_identity) - np.sin(got)) <= 1e-15
+
+
+def test_residual_angle_small_near_the_kernel_of_c():
+    # C Y is tiny, but span(Y) is 1e-8 from the invariant span(e1).
+    c = np.diag([0.0, 1.0, 2.0, 3.0])
+    y = orthonormalize(np.array([[1.0], [1e-8], [0.0], [0.0]]))
+    assert residual_angle(c, y) < 1e-7
 
 
 def test_residual_angle_below_reference_when_a_small_column_leaks():

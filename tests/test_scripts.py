@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -47,3 +48,23 @@ def test_reproduce_tables_runs(tmp_path):
     names = ["table1.json", "hamiltonian_0.1.json", "hamiltonian_0.001.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
     assert json.loads((tmp_path / "table1.json").read_text())["trials"] == 5
+
+
+def test_output_digest_covers_the_battery(tmp_path):
+    proc = run_script("output_digest.py", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    names = {line.split()[0] for line in lines}
+    for kind in ("diagonalizable", "hamiltonian", "e-hermitian"):
+        assert f"gen/{kind}_s3_t7/matrix.mtx" in names
+    assert "gen/e-skew-hermitian_s11_t42/e.mtx" in names
+    for stem in ("table1_s11_n300", "hamiltonian_s11_n300",
+                 "hamiltonian_s5023667284082138044_n66"):
+        assert f"study/{stem}.json" in names
+        for column in ("right_err", "residual_angle", "failure_reason"):
+            assert f"study/{stem}.csv:{column}" in names
+    for run in ("tsgrqi", "newton", "grqi", "pencil", "generalized",
+                "e-hermitian"):
+        assert f"refine/e-hermitian_s0_t0_{run}.csv:residual_angle" in names
+    assert "runs.txt" in names

@@ -4,16 +4,11 @@ import pytest
 from grqi import (
     DegeneratePencilError,
     DimensionMismatchError,
-    EHermitian,
-    ESkewHermitian,
-    GeneralizedHermitian,
     GramSingularError,
-    HamiltonianJ,
     OddDimensionError,
     PencilCoefficients,
     PencilPair,
-    Plain,
-    SkewHamiltonianJ,
+    STRUCTURES,
     StepConfig,
     Subspace,
     SubspacePair,
@@ -64,22 +59,17 @@ def test_apply_j_odd_dimension():
 # --------------------------------------------------------- check_structure
 
 
-def test_check_structure_plain_always_ok():
-    ok, defect = check_structure(np.ones((3, 3)), Plain())
-    assert ok and defect == 0.0
-
-
 def test_check_structure_2x2_hamiltonian():
     h = np.diag([1.0, -1.0])
-    ok, defect = check_structure(h, HamiltonianJ())
+    ok, defect = check_structure(h, "hamiltonian")
     assert ok
     assert defect <= 1e-14
 
 
 def test_check_structure_identity_is_skew_hamiltonian():
-    ok, _ = check_structure(np.eye(2), SkewHamiltonianJ())
+    ok, _ = check_structure(np.eye(2), "skew-hamiltonian")
     assert ok
-    ok_h, _ = check_structure(np.eye(2), HamiltonianJ())
+    ok_h, _ = check_structure(np.eye(2), "hamiltonian")
     assert not ok_h
 
 
@@ -87,7 +77,7 @@ def test_check_structure_random_hamiltonian():
     rng = trial_rng(SEED + 1)
     for _ in range(10):
         h = random_hamiltonian(10, rng)
-        ok, defect = check_structure(h, HamiltonianJ())
+        ok, defect = check_structure(h, "hamiltonian")
         assert ok
         assert defect <= 1e-12 * np.linalg.norm(h, 2)
 
@@ -96,7 +86,7 @@ def test_check_structure_hamiltonian_defect_matches_direct_form():
     rng = trial_rng(SEED + 2)
     c = rng.standard_normal((6, 6))
     j = j_matrix(6)
-    _, defect = check_structure(c, HamiltonianJ())
+    _, defect = check_structure(c, "hamiltonian")
     direct = np.linalg.norm((c @ j).conj().T - c @ j, 2)
     assert np.isclose(defect, direct, rtol=1e-12)
 
@@ -104,7 +94,7 @@ def test_check_structure_hamiltonian_defect_matches_direct_form():
 def test_check_structure_skew_hamiltonian_square_of_hamiltonian():
     rng = trial_rng(SEED + 3)
     h = random_hamiltonian(8, rng)
-    ok, defect = check_structure(h @ h, SkewHamiltonianJ())
+    ok, defect = check_structure(h @ h, "skew-hamiltonian")
     assert ok
     assert defect <= 1e-10 * np.linalg.norm(h @ h, 2)
 
@@ -112,34 +102,53 @@ def test_check_structure_skew_hamiltonian_square_of_hamiltonian():
 def test_check_structure_e_pairs():
     rng = trial_rng(SEED + 4)
     c, e = random_e_hermitian(7, rng)
-    ok, _ = check_structure(c, EHermitian(e))
+    ok, _ = check_structure(c, "e-hermitian", e=e)
     assert ok
-    ok_wrong, defect = check_structure(c + 0.01 * np.eye(7) * 1j, EHermitian(e))
+    ok_wrong, defect = check_structure(
+        c + 0.01 * np.eye(7) * 1j, "e-hermitian", e=e
+    )
     assert not ok_wrong
     assert defect > 0.0
     cs, es = random_e_skew_hermitian(7, rng)
-    assert check_structure(cs, ESkewHermitian(es)).ok
-    assert not check_structure(cs, EHermitian(es)).ok
+    assert check_structure(cs, "e-skew-hermitian", e=es).ok
+    assert not check_structure(cs, "e-hermitian", e=es).ok
 
 
 def test_check_structure_skew_hermitian_with_identity_form():
     omega = np.array([[1j, 2.0], [-2.0, -3j]])
     assert np.allclose(omega.conj().T, -omega)
-    ok, _ = check_structure(omega, ESkewHermitian(np.eye(2)))
+    ok, _ = check_structure(omega, "e-skew-hermitian", e=np.eye(2))
     assert ok
 
 
 def test_check_structure_generalized():
     a = np.diag([2.0, 6.0])
     b = np.diag([1.0, 2.0])
-    assert check_structure((a, b), GeneralizedHermitian(a, b)).ok
+    assert check_structure(a, "generalized", b=b).ok
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert not check_structure((bad, b), GeneralizedHermitian(bad, b)).ok
+    assert not check_structure(bad, "generalized", b=b).ok
 
 
 def test_check_structure_odd_dimension_for_j():
     with pytest.raises(OddDimensionError):
-        check_structure(np.eye(3), HamiltonianJ())
+        check_structure(np.eye(3), "hamiltonian")
+
+
+def test_check_structure_unknown_name_lists_the_table():
+    with pytest.raises(ValueError, match="e-hermitian, e-skew-hermitian"):
+        check_structure(np.eye(2), "symplectic")
+    assert list(STRUCTURES) == [
+        "e-hermitian", "e-skew-hermitian", "hamiltonian",
+        "skew-hamiltonian", "generalized",
+    ]
+
+
+@pytest.mark.parametrize("structure, operand", [
+    ("generalized", "b"), ("e-hermitian", "e"), ("e-skew-hermitian", "e"),
+])
+def test_check_structure_operand_must_match_c(structure, operand):
+    with pytest.raises(DimensionMismatchError):
+        check_structure(np.eye(4), structure, **{operand: np.eye(3)})
 
 
 # ---------------------------------------------------------- one_sided_step
