@@ -6,13 +6,13 @@ The battery runs through ``grqi.cli`` in-process with one BLAS thread:
 ``gen`` of every kind at three (seed, trial) streams, ``refine`` of each
 instance by ``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided
 structure, ``pencil`` and ``one-sided --structure generalized`` with the
-e-hermitian instance's E as B, both studies at seed 11 with 300 trials,
-and the 66-trial Hamiltonian run at seed 5023667284082138044.  Outputs go
-under OUT_DIR (new or empty), with ``runs.txt`` holding each command's
-exit code and output other than paths and wall times.  One line
-``<file> <sha256>`` is printed per file, and one line
-``<file>:<column> <sha256>`` per column of a trace CSV, so a ``diff`` of
-two trees' digests names the files and columns that moved.
+e-hermitian instance's E as B, ``grqi`` on that Hermitian E, both
+studies at seed 11 with 300 trials, and the 66-trial Hamiltonian run at
+seed 5023667284082138044. Outputs go under OUT_DIR (new or empty), with
+``runs.txt`` holding each command's exit code and output other than
+paths and wall times. One line ``<file> <sha256>`` is printed per file,
+and one line ``<file>:<column> <sha256>`` per column of a trace CSV, so
+a ``diff`` of two trees' digests names the files and columns that moved.
 """
 import os
 
@@ -66,6 +66,14 @@ def battery(out: pathlib.Path):
                 yield f"refine {name} {method}", [
                     "refine", "--matrix", str(d / "matrix.mtx"), *args,
                     "--out", str(out / "refine" / f"{name}_{method}.csv"),
+                ]
+            if kind == "e-hermitian":
+                # E is Hermitian positive definite, so grqi steps on it;
+                # every matrix.mtx is non-Hermitian and refused.
+                yield f"refine {name} grqi-e", [
+                    "refine", "--matrix", str(d / "e.mtx"),
+                    "--right", str(d / "start_right.mtx"), "--method", "grqi",
+                    "--out", str(out / "refine" / f"{name}_grqi-e.csv"),
                 ]
     studies = (("table1", "11", "300"), ("hamiltonian", "11", "300"),
                ("hamiltonian", "5023667284082138044", "66"))

@@ -31,6 +31,7 @@ from .iterations import (
     MAX_ITERS,
     StepConfig,
     SubspacePair,
+    _failure_text,
     grqi_step,
     iterate,
     newton_chatelin_step,
@@ -41,10 +42,10 @@ from .mmio import read_matrix, write_matrix
 from .structured import (
     STRUCTURES,
     PencilPair,
+    apply_j,
     check_structure,
     choose_pencil_normalization,
     generalized_hermitian_step,
-    hamiltonian_step,
     one_sided_step,
     pencil_tsgrqi_step,
 )
@@ -75,20 +76,14 @@ def _pencil_step(c, b, e, cfg):
 
 # (--method, --structure or None) -> (state type, builder of the step
 # state -> (state, diagnostics) from (C, B, E, cfg), whether the residual
-# is taken under the pencil (C, B) rather than C alone).  Builders look
-# the steps up by name when ``refine`` calls them, so wrappers installed
-# on this module's bindings see every call.
-_E_STEP = (
+# is taken under the pencil (C, B) rather than C alone).  E is J
+# (``apply_j``) for a claim that reads no operand.  Builders look the
+# steps up by name when ``refine`` calls them, so wrappers installed on
+# this module's bindings see every call.
+_ONE_SIDED = (
     Subspace,
     lambda c, b, e, cfg: partial(
         one_sided_step, c, e, cfg=cfg, full_output=True
-    ),
-    False,
-)
-_J_STEP = (
-    Subspace,
-    lambda c, b, e, cfg: partial(
-        hamiltonian_step, c, cfg=cfg, full_output=True
     ),
     False,
 )
@@ -109,10 +104,10 @@ _METHODS = {
         ),
         False,
     ),
-    ("one-sided", "e-hermitian"): _E_STEP,
-    ("one-sided", "e-skew-hermitian"): _E_STEP,
-    ("one-sided", "hamiltonian"): _J_STEP,
-    ("one-sided", "skew-hamiltonian"): _J_STEP,
+    ("one-sided", "e-hermitian"): _ONE_SIDED,
+    ("one-sided", "e-skew-hermitian"): _ONE_SIDED,
+    ("one-sided", "hamiltonian"): _ONE_SIDED,
+    ("one-sided", "skew-hamiltonian"): _ONE_SIDED,
     ("one-sided", "generalized"): (
         Subspace,
         lambda c, b, e, cfg: partial(
@@ -229,10 +224,12 @@ def refine(
     except GrqiError as exc:
         _fail_usage(str(exc))
 
+    if structure in STRUCTURES and needs is None:
+        e = apply_j
     try:
         step = build_step(c, b, e, scfg)
     except GrqiError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
+        click.echo(_failure_text(exc), err=True)
         sys.exit(3)
     pencil_b = b if pencil else None  # a stray --b-matrix changes nothing
     if paired:
@@ -334,7 +331,6 @@ def experiment_hamiltonian(
             trials=trials,
             seed=seed,
             start_distance=start_distance,
-            max_iters=10,
             workers=workers,
         )
     except ValueError as exc:

@@ -35,6 +35,8 @@ from .iterations import (
     IterationTrace,
     StepDiagnostics,
     SubspacePair,
+    _append_row,
+    _failure_text,
     _rayleigh_step,
 )
 from .kernels import (
@@ -88,9 +90,10 @@ class ExperimentConfig:
 
     ``start_distance`` bounds the angle between each starting subspace and
     its oracle; both sides are drawn independently, so the summed starting
-    error is below twice this bound.  ``p`` is the block size of the
-    table1 study; the Hamiltonian study picks its own per trial and
-    ignores it.
+    error is below twice this bound.  ``p`` and ``max_iters`` are the
+    block size and step count of the table1 study; the Hamiltonian study
+    picks its own block size per trial, always takes ten steps, and
+    ignores both.
     """
 
     experiment: str = "table1"
@@ -270,7 +273,7 @@ def _end_failed(traces, live, failures) -> np.ndarray:
     for t, exc in zip(live, failures):
         if exc is not None:
             traces[t].status = FAILURE
-            traces[t].failure_reason = f"{type(exc).__name__}: {exc}"
+            traces[t].failure_reason = _failure_text(exc)
     return np.array([exc is None for exc in failures], dtype=bool)
 
 
@@ -293,15 +296,8 @@ def _step_stack(hamiltonian, c, oracle, start, steps) -> list[IterationTrace]:
         left_err = _principal_angles(yl, ol)
         right_err = _principal_angles(yr, orr)
         for j, t in enumerate(live):
-            traces[t].records.append(IterationRecord(
-                index=index,
-                right_err=float(right_err[j]),
-                left_err=float(left_err[j]),
-                err_sum=float(left_err[j] + right_err[j]),
-                residual=float(res[j]),
-                perturbed=diags[j].perturbed,
-                shift_cond=diags[j].shift_cond,
-            ))
+            errors = float(left_err[j]), float(right_err[j])
+            _append_row(traces[t], index, errors, float(res[j]), diags[j])
         if index == steps:
             break
         if hamiltonian:

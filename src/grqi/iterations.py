@@ -11,6 +11,7 @@ degeneration checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +179,16 @@ def _check_hermitian(a: np.ndarray) -> None:
     )
 
 
+def _check_operands(n: int, a: np.ndarray, b: np.ndarray | None = None):
+    """Raise unless the step operands ``a`` and ``b`` (if any) are n by n."""
+    if b is not None and (a.shape != (n, n) or b.shape != (n, n)):
+        raise DimensionMismatchError(
+            f"matrices are {a.shape} and {b.shape}, expected {(n, n)}"
+        )
+    if a.shape != (n, n):
+        raise DimensionMismatchError(f"matrix is {a.shape}, expected {(n, n)}")
+
+
 def _stacked_solves(a, shifts, sides, z) -> list:
     """Solve every (trial, shift) system of the (k, n, n) stack ``a`` with
     one ``np.linalg.solve`` per side and arithmetic, writing column i of
@@ -315,11 +326,15 @@ def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
     return right, left, perturbed, cond, failures
 
 
-def _one_step(a, yl, yr, cfg, **kwargs):
-    """:func:`_rayleigh_step` on one problem: raise its failure, else
-    return ``(right, left or None, StepDiagnostics)`` as subspaces."""
+def _one_step(a, yl, yr, cfg, *, b=None, **kwargs):
+    """:func:`_rayleigh_step` on one problem, after checking the shapes of
+    ``a`` and ``b``: raise its failure, else return
+    ``(right, left or None, StepDiagnostics)`` as subspaces."""
+    a = np.asarray(a)
+    b = None if b is None else np.asarray(b)
+    _check_operands(yr.shape[0], a, b)
     right, left, perturbed, cond, failures = _rayleigh_step(
-        a, yl[None], yr[None], cfg, **kwargs
+        a, yl[None], yr[None], cfg, b=b, **kwargs
     )
     _raise_first(failures)
     if left is not None:
@@ -376,10 +391,7 @@ def grqi_step(
     independently shifted solve; no setting of ``cfg`` applies to it.
     """
     a = np.asarray(a)
-    if a.shape != (y.n, y.n):
-        raise DimensionMismatchError(
-            f"matrix is {a.shape}, expected {(y.n, y.n)}"
-        )
+    _check_operands(y.n, a)
     _check_hermitian(a)
     rayleigh = y.basis.conj().T @ (a @ y.basis)
     rayleigh = (rayleigh + rayleigh.conj().T) / 2.0
@@ -462,11 +474,6 @@ def tsgrqi_step(
     that hit the spectrum are retried with a perturbed shift; both
     updates are orthonormalized.
     """
-    c = np.asarray(c)
-    if c.shape != (pair.n, pair.n):
-        raise DimensionMismatchError(
-            f"matrix is {c.shape}, expected {(pair.n, pair.n)}"
-        )
     right, left, diag = _one_step(
         c, pair.left.basis, pair.right.basis, cfg, two_sided=True
     )
@@ -488,10 +495,7 @@ def newton_chatelin_step(
     convergent in general, cubically for Hermitian C.
     """
     c = np.asarray(c)
-    if c.shape != (y.n, y.n):
-        raise DimensionMismatchError(
-            f"matrix is {c.shape}, expected {(y.n, y.n)}"
-        )
+    _check_operands(y.n, c)
     if y.p == y.n:
         # The whole space is invariant; nothing to correct.
         out = y
@@ -518,25 +522,34 @@ def _state_angle(a, b) -> float:
     )
 
 
-def _oracle_record(state, oracle, index, residual, diag) -> IterationRecord:
-    right_err = left_err = err_sum = float("nan")
-    if oracle is not None:
-        if isinstance(state, Subspace):
-            right_err = largest_principal_angle(state, oracle)
-            err_sum = right_err
-        else:
-            left_err = largest_principal_angle(state.left, oracle.left)
-            right_err = largest_principal_angle(state.right, oracle.right)
-            err_sum = left_err + right_err
-    return IterationRecord(
-        index=index,
-        right_err=right_err,
-        left_err=left_err,
-        err_sum=err_sum,
-        residual=residual,
-        perturbed=diag.perturbed,
-        shift_cond=diag.shift_cond,
+def _oracle_errors(state, oracle) -> tuple[float, float]:
+    """``(left_err, right_err)`` of a state against its oracle: NaN where
+    there is no oracle, and on the left of a one-sided state."""
+    if oracle is None:
+        return float("nan"), float("nan")
+    if isinstance(state, Subspace):
+        return float("nan"), largest_principal_angle(state, oracle)
+    return (
+        largest_principal_angle(state.left, oracle.left),
+        largest_principal_angle(state.right, oracle.right),
     )
+
+
+def _append_row(trace, index, errors, residual, diag) -> None:
+    """Append the row of iterate ``index`` to ``trace``.  ``errors`` is
+    ``(left_err, right_err)``; their sum is the right error alone when the
+    left one is NaN (a one-sided run, or a run with no oracle)."""
+    left_err, right_err = errors
+    err_sum = right_err if math.isnan(left_err) else left_err + right_err
+    trace.records.append(IterationRecord(
+        index, right_err, left_err, err_sum, residual, diag.perturbed,
+        diag.shift_cond,
+    ))
+
+
+def _failure_text(exc: Exception) -> str:
+    """The ``failure_reason`` of a trace that ``exc`` ended."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 def iterate(
@@ -569,7 +582,7 @@ def iterate(
             res = float("nan") if residual is None else float(residual(state))
         except GrqiError as exc:
             res, failure = float("nan"), exc
-        trace.records.append(_oracle_record(state, oracle, k, res, diag))
+        _append_row(trace, k, _oracle_errors(state, oracle), res, diag)
         if failure is not None:
             break
         if (
@@ -589,5 +602,5 @@ def iterate(
         prev, state = state, nxt
     if failure is not None:
         trace.status = FAILURE
-        trace.failure_reason = f"{type(failure).__name__}: {failure}"
+        trace.failure_reason = _failure_text(failure)
     return trace

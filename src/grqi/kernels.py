@@ -389,7 +389,6 @@ def shifted_solve(
     c: np.ndarray,
     rho: complex,
     b: np.ndarray,
-    eps: float | None = None,
     *,
     left: np.ndarray | None = None,
     pencil_b: np.ndarray | None = None,
@@ -401,8 +400,8 @@ def shifted_solve(
     computed in real arithmetic when all operands and rho are real.  A
     side that meets an exact zero pivot or nonfinite entries (shift
     numerically equal to an eigenvalue) is re-solved with the shift moved
-    to ``rho - eps``; near an eigenvalue this keeps the solution
-    direction intact, which is all the iteration needs.  Returns
+    to rho - :func:`solve_eps` (C); near an eigenvalue this keeps the
+    solution direction intact, which is all the iteration needs.  Returns
     ``(z, perturbed)``, plus ``(z_left, perturbed_left)`` when ``left``
     is given; raises :class:`~grqi.errors.SolveFailedError`
     (:class:`~grqi.errors.SingularPencilShiftError` for a pencil) if a
@@ -427,7 +426,7 @@ def shifted_solve(
     z = _lu_solves(mats, rho, rhs)
     perturbed = [x is None for x in z]
     if any(perturbed):
-        eps = solve_eps(c) if eps is None else eps
+        eps = solve_eps(c)
         retry = [r if f else None for r, f in zip(rhs, perturbed)]
         redo = _lu_solves(mats, rho - eps, retry)
         z = [y if f else x for x, y, f in zip(z, redo, perturbed)]

@@ -26,6 +26,7 @@ from .iterations import (
     StepConfig,
     StepDiagnostics,
     SubspacePair,
+    _check_operands,
     _one_step,
 )
 from .kernels import Subspace, orthonormalize
@@ -197,11 +198,6 @@ def one_sided_step(
     only the right update C Z - Z (Y^H E Y)^{-1} (Y^H E C Y) = Y needs to
     be solved.  ``e`` may be a dense matrix or a callable applying it.
     """
-    c = np.asarray(c)
-    if c.shape != (y.n, y.n):
-        raise DimensionMismatchError(
-            f"matrix is {c.shape}, expected {(y.n, y.n)}"
-        )
     out, _, diag = _one_step(c, y.basis, y.basis, cfg, e=_as_operator(e))
     return (out, diag) if full_output else out
 
@@ -238,13 +234,6 @@ def generalized_hermitian_step(
     implemented with shifted pencil solves (A - rho_i B) so B is never
     inverted.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != (y.n, y.n) or b.shape != (y.n, y.n):
-        raise DimensionMismatchError(
-            f"matrices are {a.shape} and {b.shape}, expected "
-            f"{(y.n, y.n)}"
-        )
     out, _, diag = _one_step(a, y.basis, y.basis, cfg, b=b)
     return (out, diag) if full_output else out
 
@@ -322,10 +311,7 @@ def pencil_tsgrqi_step(
     a = np.asarray(a)
     b = np.asarray(b)
     n = pair.n
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise DimensionMismatchError(
-            f"matrices are {a.shape} and {b.shape}, expected {(n, n)}"
-        )
+    _check_operands(n, a, b)
     a_hat, b_hat = coeffs.transform(a, b)
     sv_b = np.linalg.svd(b_hat, compute_uv=False)
     if sv_b[-1] <= n * np.finfo(float).eps * sv_b[0]:
@@ -343,14 +329,14 @@ def pencil_tsgrqi_step(
 def choose_pencil_normalization(
     a: np.ndarray,
     b: np.ndarray,
-    rng: np.random.Generator | None = None,
 ) -> PencilCoefficients:
     """Pick pencil coefficients with a well-conditioned B_hat.
 
     The default normalization (B_hat = B) is kept when B is invertible
     with condition below 1e8; otherwise up to 50 random unit-circle
-    combinations (alpha, beta) are tried, with (gamma, delta) =
-    (-beta, alpha) to keep the pair nondegenerate.  Raises
+    combinations (alpha, beta), drawn from ``np.random.default_rng(0)``,
+    are tried, with (gamma, delta) = (-beta, alpha) to keep the pair
+    nondegenerate.  Raises
     :class:`~grqi.errors.DegeneratePencilError` when no acceptable
     combination is found.
     """
@@ -360,7 +346,7 @@ def choose_pencil_normalization(
     default = PencilCoefficients()
     if np.linalg.cond(default.transform(a, b)[1]) < _PENCIL_COND_LIMIT:
         return default
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     for _ in range(_PENCIL_TRIES):
         t = float(rng.uniform(0.0, 2.0 * np.pi))
         alpha, beta = np.cos(t), np.sin(t)

@@ -788,7 +788,10 @@ def test_gen_then_refine_replays_study_trial(
     tmp_path, study, gen_args, refine_args
 ):
     # gen --seed s --trial t writes the inputs of study trial t, so a
-    # refine from those files retraces the study's first step.
+    # refine from those files retraces the study's first step.  The two
+    # share right_err; the table1 study and tsgrqi refine also share
+    # left_err and e, while the Hamiltonian study and one-sided refine
+    # share the residual.
     seed, trial = 9, 4
     cfg = ExperimentConfig(
         experiment=study, n=10, p=3, trials=trial + 1, seed=seed
@@ -819,12 +822,34 @@ def test_gen_then_refine_replays_study_trial(
     assert result.exit_code in (0, 2), result.output
     got = read_traces(tmp_path / "trace.csv")[0]
     assert got.iterates == 2
-    fields = ["right_err", "left_err"] if study == "table1" else ["right_err"]
+    fields = (
+        ["right_err", "left_err", "err_sum"] if study == "table1"
+        else ["right_err", "residual"]
+    )
+    c = read_matrix(tmp_path / "matrix.mtx")
+    state = SubspacePair(*(
+        orthonormalize(read_matrix(tmp_path / f"start_{side}.mtx"))
+        for side in ("left", "right")
+    ))
     for k in range(2):
+        g, x = got.records[k], expected.records[k]
         for name in fields:
-            assert getattr(got.records[k], name) == pytest.approx(
-                getattr(expected.records[k], name), rel=1e-9
+            assert getattr(g, name) == pytest.approx(
+                getattr(x, name), rel=1e-9
             ), (k, name)
+        assert x.err_sum == x.left_err + x.right_err
+        if study == "table1":
+            # The study's residual is the right one; refine's adds the
+            # left residual under C^H.
+            left = residual_angle(c.conj().T, state.left)
+            assert g.residual == pytest.approx(max(x.residual, left), rel=1e-9)
+            state, _ = tsgrqi_step(c, state)
+        else:
+            # The study's left side is span(J Y) against the J-lifted
+            # oracle, as far apart as Y and the oracle, since J is
+            # orthogonal; one-sided refine has no left error.
+            assert x.left_err == pytest.approx(x.right_err, rel=1e-9)
+            assert np.isnan(g.left_err) and g.err_sum == g.right_err
 
 
 # -------------------------------------------------------------- experiment

@@ -29,7 +29,7 @@ from grqi import (
     write_summary,
     write_traces,
 )
-from grqi.experiments import _instance, _study_chunk
+from grqi.experiments import _instance, _step_stack, _study_chunk
 from grqi.iterations import SubspacePair
 from grqi.kernels import Subspace
 from grqi.structured import apply_j
@@ -484,6 +484,25 @@ def test_step_failure_stays_in_its_trial(tmp_path, monkeypatch):
         assert traces[t].iterates == clean[t].iterates
         for a, b in zip(traces[t].records, clean[t].records):
             assert records_match(a, b)
+
+
+def test_stack_whose_every_trial_fails_keeps_one_row_each():
+    # Every left start is orthogonal to its right start, so the whole
+    # stack fails its first step on the cross Gram matrix.
+    e = np.eye(4)
+    c = np.stack([np.diag([1.0, 2.0, 3.0, 4.0])] * 2)
+    c[1] = c[1] @ c[1]
+    yl = np.stack([e[:, 2:]] * 2)
+    yr = np.stack([e[:, :2]] * 2)
+    traces = _step_stack(False, c, (yl, yr), (yl, yr), 5)
+    for t, trace in enumerate(traces):
+        start = SubspacePair(left=Subspace(yl[t]), right=Subspace(yr[t]))
+        with pytest.raises(GramSingularError) as info:
+            tsgrqi_step(c[t], start)
+        assert trace.status == FAILURE
+        assert trace.failure_reason == f"GramSingularError: {info.value}"
+        assert [r.index for r in trace.records] == [0]
+        assert trace.records[0].err_sum == 0.0
 
 
 # ------------------------------------------------------------- serialization

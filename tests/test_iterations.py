@@ -10,6 +10,7 @@ from grqi import (
     NearDefectiveError,
     NotHermitianError,
     RankDeficientError,
+    SolveFailedError,
     SpectraOverlapError,
     StepConfig,
     Subspace,
@@ -333,6 +334,26 @@ def test_stacked_solve_isolates_a_singular_shift():
         assert lu[2][0] == perturbed[t]
         for x, y in ((lu[0][0], right[t]), (lu[1][0], lq[t])):
             assert largest_principal_angle(Subspace(x), Subspace(y)) <= 1e-10
+
+
+def test_stacked_solve_fails_only_the_trial_whose_retry_fails():
+    # Trial 1 has C = 0 and shifts 0: solve_eps(0) = 0, so the moved
+    # shift is singular too.  Only trial 1 fails, and the other trials
+    # keep the bases of a stack holding that trial only.
+    rng = trial_rng(SEED + 12)
+    n, p = 5, 2
+    a = rng.standard_normal((3, n, n))
+    a[1] = 0.0
+    shifts = rng.standard_normal((3, p))
+    shifts[1] = 0.0
+    rhs = rng.standard_normal((3, n, p))
+    right, _, perturbed, failures = _solve_columns(a, shifts, rhs)
+    assert isinstance(failures[1], SolveFailedError)
+    for t in (0, 2):
+        assert failures[t] is None
+        one = _solve_columns(a[t:t + 1], shifts[t:t + 1], rhs[t:t + 1])
+        assert np.array_equal(one[0][0], right[t])
+        assert one[2][0] == perturbed[t]
 
 
 def test_tsgrqi_p1_matches_two_sided_rqi():

@@ -544,9 +544,14 @@ def test_shifted_solve_exact_eigenvalue_flags_each_side(pencil):
         c, 3.0, e[:, 1], left=e[:, 2], pencil_b=b
     )
     assert not perturbed and not perturbed_left
-    error = SingularPencilShiftError if pencil else SolveFailedError
-    with pytest.raises(error):
-        shifted_solve(c, 2.0, e[:, 1], 0.0, pencil_b=b)
+    # The moved shift fails too: the zero pencil is singular at every
+    # shift, and 1e300 / 1e-300 overflows at rho and at rho - solve_eps(C).
+    if pencil:
+        with pytest.raises(SingularPencilShiftError):
+            shifted_solve(0 * c, 2.0, e[:, 1], pencil_b=0 * c)
+    else:
+        with pytest.raises(SolveFailedError):
+            shifted_solve(np.diag([2.0, 1e-300]), 0.0, np.array([0.0, 1e300]))
 
 
 def test_shifted_solve_perturbs_only_the_nonfinite_side():

@@ -68,3 +68,6 @@ def test_output_digest_covers_the_battery(tmp_path):
                 "e-hermitian"):
         assert f"refine/e-hermitian_s0_t0_{run}.csv:residual_angle" in names
     assert "runs.txt" in names
+    # Every matrix.mtx is non-Hermitian; grqi steps on the Hermitian E.
+    runs = (tmp_path / "out" / "runs.txt").read_text()
+    assert re.search(r"^refine \S+ grqi-e: exit 0$", runs, re.MULTILINE)

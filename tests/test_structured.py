@@ -23,6 +23,7 @@ from grqi import (
     hamiltonian_step,
     j_matrix,
     largest_principal_angle,
+    newton_chatelin_step,
     one_sided_step,
     orthonormalize,
     pencil_tsgrqi_step,
@@ -519,7 +520,7 @@ def test_choose_normalization_prefers_default():
 def test_choose_normalization_handles_singular_b():
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
-    coeffs = choose_pencil_normalization(a, b, trial_rng(SEED + 23))
+    coeffs = choose_pencil_normalization(a, b)
     det = coeffs.alpha * coeffs.delta - coeffs.gamma * coeffs.beta
     assert abs(det) > 1e-12
     bhat = coeffs.alpha * b - coeffs.beta * a
@@ -529,4 +530,40 @@ def test_choose_normalization_handles_singular_b():
 def test_choose_normalization_hopeless_pencil():
     s = np.array([[0.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DegeneratePencilError):
-        choose_pencil_normalization(s, s, trial_rng(SEED + 24))
+        choose_pencil_normalization(s, s)
+
+
+# ---------------------------------------------------------- operand shapes
+
+_Y3 = Subspace(np.eye(3)[:, :1])
+_I3, _I4 = np.eye(3), np.eye(4)
+_ONE = "matrix is (4, 4), expected (3, 3)"
+_A_WRONG = "matrices are (4, 4) and (3, 3), expected (3, 3)"
+_B_WRONG = "matrices are (3, 3) and (4, 4), expected (3, 3)"
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [
+        (lambda: tsgrqi_step(_I4, SubspacePair(_Y3, _Y3)), _ONE),
+        (lambda: grqi_step(_I4, _Y3), _ONE),
+        (lambda: newton_chatelin_step(_I4, _Y3), _ONE),
+        (lambda: one_sided_step(_I4, _I3, _Y3), _ONE),
+        (
+            lambda: hamiltonian_step(np.eye(6), Subspace(_I4[:, :2])),
+            "matrix is (6, 6), expected (4, 4)",
+        ),
+        (lambda: generalized_hermitian_step(_I4, _I3, _Y3), _A_WRONG),
+        (lambda: generalized_hermitian_step(_I3, _I4, _Y3), _B_WRONG),
+        (lambda: pencil_tsgrqi_step(_I4, _I3, PencilPair(_Y3, _Y3)), _A_WRONG),
+        (lambda: pencil_tsgrqi_step(_I3, _I4, PencilPair(_Y3, _Y3)), _B_WRONG),
+    ],
+    ids=[
+        "tsgrqi", "grqi", "newton", "one_sided", "hamiltonian",
+        "generalized_a", "generalized_b", "pencil_a", "pencil_b",
+    ],
+)
+def test_steps_refuse_a_wrongly_shaped_operand(step, message):
+    with pytest.raises(DimensionMismatchError) as info:
+        step()
+    assert str(info.value) == message
