@@ -4,7 +4,6 @@ variants, a Newton baseline, problem generators, and experiment drivers.
 """
 
 from .errors import (
-    BiorthogonalityLostError,
     DegeneratePencilError,
     DimensionMismatchError,
     GramSingularError,
@@ -21,12 +20,10 @@ from .errors import (
     SpectraOverlapError,
     UnpairedEigenvalueError,
     UnsupportedFormatError,
-    ZeroVectorError,
 )
 from .kernels import (
     BlockShift,
     Subspace,
-    hermitian_angle,
     largest_principal_angle,
     orthonormalize,
     residual_angle,
@@ -47,9 +44,7 @@ from .iterations import (
     grqi_step,
     iterate,
     newton_chatelin_step,
-    rqi_step,
     tsgrqi_step,
-    two_sided_rqi_step,
 )
 from .structured import (
     STRUCTURES,
@@ -66,7 +61,6 @@ from .structured import (
     j_matrix,
     one_sided_step,
     pencil_tsgrqi_step,
-    skew_hamiltonian_step,
 )
 from .testgen import (
     GeneratedProblem,

@@ -67,41 +67,36 @@ def _check_out(*paths):
             _fail_usage(f"{path}: not a file path in an existing directory")
 
 
-def _pencil_step(c, b, e, cfg):
+def _pencil_step(c, b, e):
     """The pencil step under the normalization chosen once for (C, B), so
     a singular B runs too."""
     coeffs = choose_pencil_normalization(c, b)
-    return partial(pencil_tsgrqi_step, c, b, coeffs=coeffs, cfg=cfg)
+    return partial(pencil_tsgrqi_step, c, b, coeffs=coeffs)
 
 
 # (--method, --structure or None) -> (state type, builder of the step
-# state -> (state, diagnostics) from (C, B, E, cfg), whether the residual
-# is taken under the pencil (C, B) rather than C alone).  E is J
-# (``apply_j``) for a claim that reads no operand.  Builders look the
-# steps up by name when ``refine`` calls them, so wrappers installed on
-# this module's bindings see every call.
+# state -> (state, diagnostics) from (C, B, E), whether the step takes B
+# and the residual is taken under the pencil (C, B) rather than C alone).
+# E is J (``apply_j``) for a claim that reads no operand.  Builders look
+# the steps up by name when ``refine`` calls them, so wrappers installed
+# on this module's bindings see every call.
 _ONE_SIDED = (
     Subspace,
-    lambda c, b, e, cfg: partial(
-        one_sided_step, c, e, cfg=cfg, full_output=True
-    ),
+    lambda c, b, e: partial(one_sided_step, c, e, full_output=True),
     False,
 )
 _METHODS = {
     ("tsgrqi", None): (
-        SubspacePair, lambda c, b, e, cfg: partial(tsgrqi_step, c, cfg=cfg),
-        False,
+        SubspacePair, lambda c, b, e: partial(tsgrqi_step, c), False,
     ),
     ("grqi", None): (
         Subspace,
-        lambda c, b, e, cfg: partial(grqi_step, c, cfg=cfg, full_output=True),
+        lambda c, b, e: partial(grqi_step, c, full_output=True),
         False,
     ),
     ("newton", None): (
         Subspace,
-        lambda c, b, e, cfg: partial(
-            newton_chatelin_step, c, full_output=True
-        ),
+        lambda c, b, e: partial(newton_chatelin_step, c, full_output=True),
         False,
     ),
     ("one-sided", "e-hermitian"): _ONE_SIDED,
@@ -110,8 +105,8 @@ _METHODS = {
     ("one-sided", "skew-hamiltonian"): _ONE_SIDED,
     ("one-sided", "generalized"): (
         Subspace,
-        lambda c, b, e, cfg: partial(
-            generalized_hermitian_step, c, b, cfg=cfg, full_output=True
+        lambda c, b, e: partial(
+            generalized_hermitian_step, c, b, full_output=True
         ),
         True,
     ),
@@ -192,6 +187,11 @@ def refine(
     state_type, build_step, pencil = entry
     if pencil and b is None:
         _fail_usage(f"--method {method} needs --b-matrix")
+    read = (needs, "b" if pencil else None)
+    for name, path in (("e", e_matrix), ("b", b_matrix)):
+        if path and name not in read:
+            click.echo(f"warning: --{name}-matrix is not read by --method "
+                       f"{method} --structure {structure}", err=True)
 
     if structure != "none":
         try:
@@ -227,11 +227,11 @@ def refine(
     if structure in STRUCTURES and needs is None:
         e = apply_j
     try:
-        step = build_step(c, b, e, scfg)
+        step = build_step(c, b, e)
     except GrqiError as exc:
         click.echo(_failure_text(exc), err=True)
         sys.exit(3)
-    pencil_b = b if pencil else None  # a stray --b-matrix changes nothing
+    pencil_b = b if pencil else None
     if paired:
         c_h, b_h = c.conj().T, None if pencil_b is None else pencil_b.conj().T
         residual = lambda s: max(
@@ -363,13 +363,13 @@ def gen(kind, n, p, seed, trial, start_distance, out):
     studies use: ``--seed s --trial t`` gives trial t of the table1
     (diagonalizable) or Hamiltonian study with seed s.
     """
-    os.makedirs(out, exist_ok=True)
     try:
         c, e, oracle, start = _instance(
             kind, n, p, seed, trial, start_distance
         )
     except (GrqiError, ValueError) as exc:
         _fail_usage(str(exc))
+    os.makedirs(out, exist_ok=True)
 
     files = {
         "matrix.mtx": c,

@@ -18,10 +18,6 @@ class RankDeficientError(GrqiError):
     """A matrix that must have full column rank does not."""
 
 
-class ZeroVectorError(GrqiError):
-    """A vector argument is (numerically) zero."""
-
-
 class NotHermitianError(GrqiError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
@@ -42,11 +38,6 @@ class SingularPencilShiftError(SolveFailedError):
 class SpectraOverlapError(GrqiError):
     """The two coefficient matrices of a Sylvester equation have
     (numerically) intersecting spectra."""
-
-
-class BiorthogonalityLostError(GrqiError):
-    """Left and right vectors became orthogonal, so the two-sided Rayleigh
-    quotient is undefined."""
 
 
 class GramSingularError(GrqiError):

@@ -301,9 +301,9 @@ def _step_stack(hamiltonian, c, oracle, start, steps) -> list[IterationTrace]:
         if index == steps:
             break
         if hamiltonian:
-            out = _rayleigh_step(c, yr, yr, None, e=apply_j)
+            out = _rayleigh_step(c, yr, yr, e=apply_j)
         else:
-            out = _rayleigh_step(c, yl, yr, None, two_sided=True)
+            out = _rayleigh_step(c, yl, yr, two_sided=True)
         yr, yl, perturbed, cond, failures = out
         keep = _end_failed(traces, live, failures)
         if not keep.any():

@@ -3,8 +3,7 @@
 The central step is :func:`tsgrqi_step`, which refines a pair of left and
 right subspaces simultaneously and converges locally cubically to pairs of
 spectral left-right invariant subspaces of a general square matrix.  The
-classical one-vector and one-sided variants (:func:`rqi_step`,
-:func:`grqi_step`, :func:`two_sided_rqi_step`) and a Newton baseline
+Hermitian block step :func:`grqi_step` and a Newton baseline
 (:func:`newton_chatelin_step`) are provided for comparison and as
 degeneration checks.
 """
@@ -17,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BiorthogonalityLostError,
     DimensionMismatchError,
     GramSingularError,
     GrqiError,
     NotHermitianError,
-    ZeroVectorError,
 )
 from .kernels import (
     Subspace,
@@ -47,16 +44,13 @@ __all__ = [
     "CONVERGED",
     "MAX_ITERS",
     "FAILURE",
-    "rqi_step",
     "grqi_step",
-    "two_sided_rqi_step",
     "tsgrqi_step",
     "newton_chatelin_step",
     "iterate",
 ]
 
 _GRAM_TOL = 1e-12
-_BIORTH_TOL = 1e-13
 _HERM_RTOL = 1e-12
 
 CONVERGED = "converged"
@@ -66,17 +60,12 @@ FAILURE = "failure"
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Knobs shared by the iteration steps and the driver.
-
-    ``max_iters`` and ``angle_tol`` are the step budget and convergence
-    threshold of :func:`iterate`.  ``strict_defective`` turns a shift
-    block whose eigenvector basis has condition above 1e8 into a
-    :class:`~grqi.errors.NearDefectiveError`.
-    """
+    """The step budget ``max_iters`` and convergence threshold
+    ``angle_tol`` of :func:`iterate`.  The public steps take one too, but
+    no step reads it."""
 
     max_iters: int = 50
     angle_tol: float = 1e-12
-    strict_defective: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -278,7 +267,7 @@ def _solve_columns(a, shifts, rhs, *, left=None, b=None, failures=None):
     return right_q, left_q, perturbed, _first_failures(failures, rank_failures)
 
 
-def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
+def _rayleigh_step(a, yl, yr, *, b=None, e=None, two_sided=False):
     """The block Rayleigh quotient step behind every non-Hermitian block
     step, on stacks ``yl``, ``yr`` of k orthonormal n-by-p bases (arrays)
     and ``a`` either one (n, n) matrix or a (k, n, n) stack.
@@ -309,9 +298,7 @@ def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
             gram[t] = np.eye(p)
     ayr = a @ yr
     quotient = np.linalg.solve(gram, yl_h @ (ayr if e is None else e(ayr)))
-    strict = bool(cfg and cfg.strict_defective)
-    shifts, w, cond, eig_failures = _small_eig_stack(quotient, strict)
-    failures = _first_failures(failures, eig_failures)
+    shifts, w, cond = _small_eig_stack(quotient)
     for t, failure in enumerate(failures):
         if failure is not None:
             w[t] = np.eye(p)
@@ -326,7 +313,7 @@ def _rayleigh_step(a, yl, yr, cfg, *, b=None, e=None, two_sided=False):
     return right, left, perturbed, cond, failures
 
 
-def _one_step(a, yl, yr, cfg, *, b=None, **kwargs):
+def _one_step(a, yl, yr, *, b=None, **kwargs):
     """:func:`_rayleigh_step` on one problem, after checking the shapes of
     ``a`` and ``b``: raise its failure, else return
     ``(right, left or None, StepDiagnostics)`` as subspaces."""
@@ -334,47 +321,13 @@ def _one_step(a, yl, yr, cfg, *, b=None, **kwargs):
     b = None if b is None else np.asarray(b)
     _check_operands(yr.shape[0], a, b)
     right, left, perturbed, cond, failures = _rayleigh_step(
-        a, yl[None], yr[None], cfg, b=b, **kwargs
+        a, yl[None], yr[None], b=b, **kwargs
     )
     _raise_first(failures)
     if left is not None:
         left = Subspace(left[0])
     diag = StepDiagnostics(perturbed=perturbed[0], shift_cond=cond[0])
     return Subspace(right[0]), left, diag
-
-
-def rqi_step(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One Rayleigh quotient iteration step for a Hermitian matrix.
-
-    Returns the normalized next vector and a terminal flag; the flag is set
-    when the shifted matrix is numerically singular, in which case the
-    returned vector is a kernel direction (an eigenvector, so iteration can
-    stop).
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    _check_hermitian(a)
-    y = np.asarray(y).reshape(-1)
-    if y.shape[0] != n:
-        raise DimensionMismatchError(
-            f"vector has length {y.shape[0]}, expected {n}"
-        )
-    ny = np.linalg.norm(y)
-    if ny == 0.0:
-        raise ZeroVectorError("cannot iterate from the zero vector")
-    y = y / ny
-    rho = float(np.real(np.vdot(y, a @ y)))
-    try:
-        z = np.linalg.solve(a - rho * np.eye(n), y)
-        if not np.all(np.isfinite(z)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # rho is an eigenvalue to working precision: return a kernel vector.
-        _, _, vh = np.linalg.svd(a - rho * np.eye(n))
-        return vh[-1].conj(), True
-    return z / np.linalg.norm(z), False
 
 
 def grqi_step(
@@ -407,57 +360,6 @@ def grqi_step(
     return out
 
 
-def two_sided_rqi_step(
-    c: np.ndarray,
-    v: np.ndarray,
-    u: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One two-sided Rayleigh quotient step on a left/right vector pair.
-
-    ``v`` is the left vector, ``u`` the right one.  The shared shift is the
-    two-sided Rayleigh quotient v^H C u / v^H u; the right vector is
-    refined with C and the left one with C^H under the conjugated shift.
-    Returns ``(v_next, u_next, terminal)`` with unit vectors; ``terminal``
-    is set when the shift is an eigenvalue to working precision, in which
-    case kernel vectors (left and right eigenvectors) are returned.
-    """
-    c = np.asarray(c)
-    n = c.shape[0]
-    if c.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
-    v = np.asarray(v).reshape(-1)
-    u = np.asarray(u).reshape(-1)
-    if v.shape[0] != n or u.shape[0] != n:
-        raise DimensionMismatchError(
-            f"vectors have lengths {v.shape[0]}, {u.shape[0]}, expected {n}"
-        )
-    v = v / np.linalg.norm(v)
-    u = u / np.linalg.norm(u)
-    pairing = np.vdot(v, u)
-    if abs(pairing) <= _BIORTH_TOL:
-        raise BiorthogonalityLostError(
-            f"|v^H u| = {abs(pairing):.3e}: two-sided quotient undefined"
-        )
-    rho = complex(np.vdot(v, c @ u) / pairing)
-    eye = np.eye(n)
-    try:
-        u_next = np.linalg.solve(c - rho * eye, u)
-        v_next = np.linalg.solve(c.conj().T - np.conj(rho) * eye, v)
-        if not (np.all(np.isfinite(u_next)) and np.all(np.isfinite(v_next))):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        # Shift hit the spectrum: extract the kernel pair and stop.
-        uu, _, vh = np.linalg.svd(c - rho * eye)
-        return uu[:, -1], vh[-1].conj(), True
-    u_next = u_next / np.linalg.norm(u_next)
-    v_next = v_next / np.linalg.norm(v_next)
-    if abs(np.vdot(v_next, u_next)) <= _BIORTH_TOL:
-        raise BiorthogonalityLostError(
-            "updated vectors are numerically orthogonal"
-        )
-    return v_next, u_next, False
-
-
 def tsgrqi_step(
     c: np.ndarray,
     pair: SubspacePair,
@@ -472,10 +374,10 @@ def tsgrqi_step(
     adjoint system (C - rho_i I)^H z = Y_L W_L^{-H} e_i with
     W_L = (Y_L^H Y_R) W, so one LU of C - rho_i I serves both.  Solves
     that hit the spectrum are retried with a perturbed shift; both
-    updates are orthonormalized.
+    updates are orthonormalized.  No setting of ``cfg`` applies to it.
     """
     right, left, diag = _one_step(
-        c, pair.left.basis, pair.right.basis, cfg, two_sided=True
+        c, pair.left.basis, pair.right.basis, two_sided=True
     )
     return SubspacePair(left=left, right=right), diag
 

@@ -1,10 +1,10 @@
 """Dense linear-algebra kernels shared by all iteration variants.
 
 The public surface is small: an orthonormal-basis container
-(:class:`Subspace`), principal/vector angles, a robust small
-eigendecomposition (:class:`BlockShift`), shifted solves with an automatic
-perturbation fallback, and a Sylvester solver with a spectra-disjointness
-guard.
+(:class:`Subspace`), principal angles and the invariance residual angle,
+a robust small eigendecomposition (:class:`BlockShift`), shifted solves
+with an automatic perturbation fallback, and a Sylvester solver with a
+spectra-disjointness guard.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DimensionMismatchError,
-    NearDefectiveError,
     RankDeficientError,
     SingularPencilShiftError,
     SolveFailedError,
     SpectraOverlapError,
-    ZeroVectorError,
 )
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "BlockShift",
     "orthonormalize",
     "largest_principal_angle",
-    "hermitian_angle",
     "residual_angle",
     "small_eig",
     "solve_eps",
@@ -236,31 +233,6 @@ def largest_principal_angle(u: Subspace, v: Subspace) -> float:
     return float(_principal_angles(u.basis[None], v.basis[None])[0])
 
 
-def hermitian_angle(x: np.ndarray, y: np.ndarray) -> float:
-    """Phase-invariant angle between two nonzero vectors.
-
-    Defined through cos(theta) = |x^H y| / (||x|| ||y||); evaluated with
-    atan2 on the (cos, sin) pair so that tiny angles are not flattened to
-    zero by the arccos branch.
-    """
-    x = np.asarray(x).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(
-            f"vectors have mismatched lengths {x.shape[0]} vs {y.shape[0]}"
-        )
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVectorError("angle with a zero vector is undefined")
-    xh = x / nx
-    yh = y / ny
-    inner = np.vdot(yh, xh)
-    c = abs(inner)
-    s = np.linalg.norm(xh - yh * inner)
-    return float(np.arctan2(s, c))
-
-
 def _residual_angles(c: np.ndarray, y: np.ndarray, b=None) -> np.ndarray:
     """:func:`residual_angle` for every matrix of a stack: ``c`` (and
     ``b``) is (k, n, n) or one (n, n) matrix, ``y`` (k, n, p) orthonormal
@@ -294,11 +266,9 @@ def residual_angle(c: np.ndarray, y: Subspace, b=None) -> float:
     return float(_residual_angles(c, y.basis[None], b)[0])
 
 
-def _small_eig_stack(r: np.ndarray, strict: bool = False):
+def _small_eig_stack(r: np.ndarray):
     """:func:`small_eig` for a (k, p, p) stack of blocks.  Returns
-    ``(shifts, eigvecs, cond, failures)`` with ``failures[t]`` the
-    :class:`~grqi.errors.NearDefectiveError` of block t under ``strict``,
-    else None."""
+    ``(shifts, eigvecs, cond)``."""
     k, p, _ = r.shape
     if p == 1:
         w = np.ones((k, 1, 1), dtype=complex)
@@ -318,33 +288,23 @@ def _small_eig_stack(r: np.ndarray, strict: bool = False):
                 if off_scalar <= 1e-12 * np.abs(r[t]).max():
                     w[t], cond[t] = np.eye(p), 1.0
                     vals[t] = np.diag(r[t])
-    failures = [None] * k
-    for t, c in enumerate(cond):
-        if strict and c > _DEFECTIVE_COND:
-            failures[t] = NearDefectiveError(
-                f"eigenvector basis of the shift block has condition "
-                f"{c:.3e} > {_DEFECTIVE_COND:.1e}"
-            )
-    return vals, w, cond, failures
+    return vals, w, cond
 
 
-def small_eig(r: np.ndarray, *, strict: bool = False) -> BlockShift:
+def small_eig(r: np.ndarray) -> BlockShift:
     """Eigendecomposition of a small (p x p) shift block.
 
     Blocks with p >= 2 go through the dense nonsymmetric eigensolver.  A
     block within 1e-12 max|r| of a scalar matrix is not defective, so any
     basis diagonalizes it: it gets the identity basis and its diagonal as
     shifts, where the solver would return nearly parallel vectors.  The
-    condition number of the eigenvector matrix is always reported; when
-    ``strict`` is set and it exceeds 1e8 a
-    :class:`~grqi.errors.NearDefectiveError` is raised instead of
-    proceeding.
+    condition number of the eigenvector matrix is reported, infinite for
+    a singular one.
     """
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatchError(f"expected a square block, got {r.shape}")
-    vals, w, cond, failures = _small_eig_stack(r[None], strict)
-    _raise_first(failures)
+    vals, w, cond = _small_eig_stack(r[None])
     return BlockShift(eigvecs=w[0], shifts=vals[0], cond=cond[0])
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "one_sided_step",
     "generalized_hermitian_step",
     "hamiltonian_step",
-    "skew_hamiltonian_step",
     "full_eigenspace_targets",
     "pencil_tsgrqi_step",
     "choose_pencil_normalization",
@@ -196,9 +195,10 @@ def one_sided_step(
     For C with E C = +/- C^H E, the left iterate of the two-sided step
     started from the pair (span(E Y), span(Y)) is always span(E Z_R), so
     only the right update C Z - Z (Y^H E Y)^{-1} (Y^H E C Y) = Y needs to
-    be solved.  ``e`` may be a dense matrix or a callable applying it.
+    be solved.  ``e`` may be a dense matrix or a callable applying it.  No
+    setting of ``cfg`` applies to it.
     """
-    out, _, diag = _one_step(c, y.basis, y.basis, cfg, e=_as_operator(e))
+    out, _, diag = _one_step(c, y.basis, y.basis, e=_as_operator(e))
     return (out, diag) if full_output else out
 
 
@@ -212,12 +212,8 @@ def hamiltonian_step(
     """One-sided step for (C J)^H = +/-(C J) matrices, with J applied
     implicitly: :func:`one_sided_step` with E = J, whose matching left
     subspace is span(J Y).  Hamiltonian and skew-Hamiltonian matrices
-    take the same step, so :func:`skew_hamiltonian_step` is this
-    function."""
-    return one_sided_step(c, apply_j, y, cfg, full_output=full_output)
-
-
-skew_hamiltonian_step = hamiltonian_step
+    take the same step.  No setting of ``cfg`` applies to it."""
+    return one_sided_step(c, apply_j, y, full_output=full_output)
 
 
 def generalized_hermitian_step(
@@ -232,9 +228,9 @@ def generalized_hermitian_step(
 
     Equivalent to the E-Hermitian step with E = B applied to B^{-1} A, but
     implemented with shifted pencil solves (A - rho_i B) so B is never
-    inverted.
+    inverted.  No setting of ``cfg`` applies to it.
     """
-    out, _, diag = _one_step(a, y.basis, y.basis, cfg, b=b)
+    out, _, diag = _one_step(a, y.basis, y.basis, b=b)
     return (out, diag) if full_output else out
 
 
@@ -305,7 +301,8 @@ def pencil_tsgrqi_step(
     decouples the same way under the conjugated shifts with the left
     eigenvector factor (Gb W)^{-H}, so one LU of A_hat - rho_i B_hat
     serves both sides.  For B = I and the default
-    normalization this reduces to the plain two-sided step.
+    normalization this reduces to the plain two-sided step.  No setting
+    of ``cfg`` applies to it.
     """
     coeffs = coeffs or PencilCoefficients()
     a = np.asarray(a)
@@ -320,8 +317,7 @@ def pencil_tsgrqi_step(
             "(alpha, beta)"
         )
     right, left, diag = _one_step(
-        a_hat, pair.left.basis, pair.right.basis, cfg,
-        b=b_hat, two_sided=True,
+        a_hat, pair.left.basis, pair.right.basis, b=b_hat, two_sided=True,
     )
     return PencilPair(hatted_left=left, right=right), diag
 

@@ -14,7 +14,6 @@ from grqi import (
     SubspacePair,
     complement_basis,
     grqi_step,
-    hermitian_angle,
     j_matrix,
     largest_principal_angle,
     nearby_subspace,
@@ -31,8 +30,9 @@ from grqi import (
     sylvester_solve,
     trial_rng,
     tsgrqi_step,
-    two_sided_rqi_step,
 )
+
+from _reference import hermitian_angle, two_sided_rqi_step
 
 LOG_FLOOR = 1e-300
 

@@ -137,6 +137,35 @@ def test_refine_nonstrict_structure_warns_and_runs(tmp_path):
     assert "warning" in result.output
 
 
+@pytest.mark.parametrize(
+    "run,flag",
+    [
+        (["--method", "one-sided", "--structure", "hamiltonian"], "e"),
+        (["--method", "tsgrqi", "--structure", "none"], "b"),
+        (["--method", "tsgrqi", "--structure", "none"], "e"),
+    ],
+    ids=["one-sided-hamiltonian-e", "tsgrqi-b", "tsgrqi-e"],
+)
+def test_refine_warns_of_an_unread_operand(tmp_path, run, flag):
+    # The operand is read and checked, then left out of the run: the run
+    # says so on stderr and keeps its exit code and trace bytes.
+    ham, eh = tmp_path / "ham", tmp_path / "eh"
+    invoke(["gen", "--kind", "hamiltonian", "--n", "8", "--out", str(ham)])
+    invoke(["gen", "--kind", "e-hermitian", "--n", "8", "--out", str(eh)])
+    args = ["refine", "--matrix", str(ham / "matrix.mtx"),
+            "--right", str(ham / "start_right.mtx"), *run]
+    plain = invoke(args + ["--out", str(tmp_path / "plain.csv")])
+    stray = invoke(args + [f"--{flag}-matrix", str(eh / "e.mtx"),
+                           "--out", str(tmp_path / "stray.csv")])
+    assert stray.exit_code == plain.exit_code == 0, stray.output
+    warning = f"warning: --{flag}-matrix is not read by {' '.join(run)}"
+    assert warning in stray.stderr
+    assert "warning" not in plain.output
+    assert (tmp_path / "stray.csv").read_bytes() == (
+        tmp_path / "plain.csv"
+    ).read_bytes()
+
+
 def test_refine_malformed_matrix_exits_one(tmp_path):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n")
@@ -700,11 +729,13 @@ def test_gen_writes_expected_files(tmp_path, kind, n, extra):
      ("e-hermitian", "6")],
 )
 def test_gen_rejects_block_size_outside_n(tmp_path, kind, p):
+    out = tmp_path / "d" / "x"
     result = invoke(
-        ["gen", "--kind", kind, "--n", "6", "--p", p, "--out", str(tmp_path)]
+        ["gen", "--kind", kind, "--n", "6", "--p", p, "--out", str(out)]
     )
     assert result.exit_code == 1
     assert f"need n > p >= 1, got n=6, p={p}" in result.output
+    # A refused gen creates no output directory.
     assert not list(tmp_path.iterdir())
 
 

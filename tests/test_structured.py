@@ -32,7 +32,6 @@ from grqi import (
     random_e_skew_hermitian,
     random_hamiltonian,
     select_top_modulus,
-    skew_hamiltonian_step,
     subspace_at_angle,
     trial_rng,
     tsgrqi_step,
@@ -259,7 +258,7 @@ def test_hamiltonian_left_eigenspace_is_j_image():
 def test_skew_hamiltonian_identity_fixed_span():
     rng = trial_rng(SEED + 14)
     y = orthonormalize(rng.standard_normal((6, 2)))
-    out, diag = skew_hamiltonian_step(np.eye(6), y, full_output=True)
+    out, diag = hamiltonian_step(np.eye(6), y, full_output=True)
     assert diag.perturbed
     assert largest_principal_angle(out, y) <= 1e-10
 
@@ -270,7 +269,7 @@ def test_skew_hamiltonian_step_contraction():
     t = h @ h  # square of Hamiltonian is skew-Hamiltonian
     _, right, _ = eigenspace_pair_oracle(t, select_top_modulus(2))
     y = subspace_at_angle(right, 1e-2, rng)
-    out = skew_hamiltonian_step(t, y)
+    out = hamiltonian_step(t, y)
     assert largest_principal_angle(out, right) <= 1e-6
 
 
@@ -336,10 +335,6 @@ def test_generalized_step_equals_one_sided_on_b_inverse_a():
     out_gen = generalized_hermitian_step(a, b, y)
     out_one = one_sided_step(np.linalg.solve(b, a), b, y)
     assert largest_principal_angle(out_gen, out_one) <= 1e-10
-
-
-def test_skew_hamiltonian_step_is_hamiltonian_step():
-    assert skew_hamiltonian_step is hamiltonian_step
 
 
 # --------------------------------------------------- full_eigenspace_targets
