@@ -22,8 +22,8 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .kernels import (
-    BlockShift,
     Subspace,
+    complement_basis,
     largest_principal_angle,
     orthonormalize,
     residual_angle,
@@ -64,7 +64,6 @@ from .structured import (
 )
 from .testgen import (
     GeneratedProblem,
-    complement_basis,
     eigenspace_pair_oracle,
     group_mirror_eigenvalues,
     nearby_subspace,

@@ -59,12 +59,13 @@ def _fail_usage(message: str):
 
 
 def _check_out(*paths):
-    """Exit before any work unless every given path names a file in an
-    existing directory."""
-    for path in filter(None, paths):
+    """Exit before any work unless every path given (not None) names a
+    file in an existing directory, which an empty path does not."""
+    for path in (path for path in paths if path is not None):
         folder = os.path.dirname(path) or "."
-        if os.path.isdir(path) or not os.path.isdir(folder):
-            _fail_usage(f"{path}: not a file path in an existing directory")
+        if not path or os.path.isdir(path) or not os.path.isdir(folder):
+            _fail_usage(f"{path or repr(path)}: not a file path in an "
+                        f"existing directory")
 
 
 def _pencil_step(c, b, e):
@@ -187,11 +188,16 @@ def refine(
     state_type, build_step, pencil = entry
     if pencil and b is None:
         _fail_usage(f"--method {method} needs --b-matrix")
-    read = (needs, "b" if pencil else None)
-    for name, path in (("e", e_matrix), ("b", b_matrix)):
-        if path and name not in read:
-            click.echo(f"warning: --{name}-matrix is not read by --method "
-                       f"{method} --structure {structure}", err=True)
+    paired = state_type is not Subspace
+    for flag, path, read in (
+        ("e-matrix", e_matrix, needs == "e"),
+        ("b-matrix", b_matrix, needs == "b" or pencil),
+        ("left", left, paired),
+        ("oracle-left", oracle_left, paired),
+    ):
+        if path and not read:
+            click.echo(f"warning: --{flag} is not read by --method {method} "
+                       f"--structure {structure}", err=True)
 
     if structure != "none":
         try:
@@ -211,7 +217,6 @@ def refine(
     n = c.shape[0]
     yr = _load_subspace(right, n)
     yl = _load_subspace(left, n) if left else yr
-    paired = state_type is not Subspace
     if paired and (oracle_right is None) != (oracle_left is None):
         _fail_usage(f"--method {method} needs both oracle files or neither")
     oracle = None

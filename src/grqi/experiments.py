@@ -40,13 +40,12 @@ from .iterations import (
     _rayleigh_step,
 )
 from .kernels import (
-    Subspace,
     _check_orthonormal,
     _principal_angles,
     _residual_angles,
     orthonormalize,
 )
-from .structured import apply_j
+from .structured import _e_pair, apply_j
 from .testgen import (
     _mirror_groups,
     eigenspace_pair_oracle,
@@ -73,7 +72,8 @@ __all__ = [
     "format_table",
 ]
 
-_EXPERIMENTS = ("table1", "hamiltonian")
+# Study -> the ``gen --kind`` its instances are drawn as.
+_STUDY_KINDS = {"table1": "diagonalizable", "hamiltonian": "hamiltonian"}
 _LOG_FLOOR = 1e-300
 _HAMILTONIAN_ITERS = 10
 _SUCCESS_TOL = 1e-12
@@ -106,9 +106,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.experiment not in _EXPERIMENTS:
+        if self.experiment not in _STUDY_KINDS:
             raise ValueError(
-                f"experiment must be one of {_EXPERIMENTS}, "
+                f"experiment must be one of {tuple(_STUDY_KINDS)}, "
                 f"got {self.experiment!r}"
             )
         if self.trials < 1:
@@ -218,18 +218,6 @@ def summarize(
         failures=sum(1 for trace in traces if trace.status == FAILURE),
         wall_time=wall_time,
     )
-
-
-_STUDY_KINDS = {"table1": "diagonalizable", "hamiltonian": "hamiltonian"}
-
-
-def _e_pair(y: Subspace, e: np.ndarray | None = None) -> SubspacePair:
-    """The one-sided iterate with its structure-implied left side
-    span(E Y), where E is J when ``e`` is None.  J only moves rows and
-    flips their signs, so J Y is already orthonormal."""
-    if e is None:
-        return SubspacePair(left=Subspace(apply_j(y.basis)), right=y)
-    return SubspacePair(left=orthonormalize(e @ y.basis), right=y)
 
 
 def _instance(kind, n, p, seed, trial, delta):

@@ -29,6 +29,7 @@ from .kernels import (
     _orthonormal_stack,
     _raise_first,
     _small_eig_stack,
+    complement_basis,
     largest_principal_angle,
     orthonormalize,
     shifted_solve,
@@ -402,8 +403,7 @@ def newton_chatelin_step(
         # The whole space is invariant; nothing to correct.
         out = y
     else:
-        q, _ = np.linalg.qr(y.basis, mode="complete")
-        perp = q[:, y.p:]
+        perp = complement_basis(y)
         a22 = perp.conj().T @ (c @ perp)
         a11 = y.basis.conj().T @ (c @ y.basis)
         a21 = perp.conj().T @ (c @ y.basis)
@@ -414,26 +414,17 @@ def newton_chatelin_step(
     return out
 
 
-def _state_angle(a, b) -> float:
-    """Largest principal angle between matching components of two states."""
-    if isinstance(a, Subspace):
-        return largest_principal_angle(a, b)
-    return max(
-        largest_principal_angle(a.left, b.left),
-        largest_principal_angle(a.right, b.right),
-    )
-
-
-def _oracle_errors(state, oracle) -> tuple[float, float]:
-    """``(left_err, right_err)`` of a state against its oracle: NaN where
-    there is no oracle, and on the left of a one-sided state."""
-    if oracle is None:
+def _side_angles(state, other) -> tuple[float, float]:
+    """``(left, right)`` largest principal angles from each side of
+    ``state`` to the same side of ``other``: NaN where ``other`` is None,
+    and on the left of a one-sided state."""
+    if other is None:
         return float("nan"), float("nan")
     if isinstance(state, Subspace):
-        return float("nan"), largest_principal_angle(state, oracle)
+        return float("nan"), largest_principal_angle(state, other)
     return (
-        largest_principal_angle(state.left, oracle.left),
-        largest_principal_angle(state.right, oracle.right),
+        largest_principal_angle(state.left, other.left),
+        largest_principal_angle(state.right, other.right),
     )
 
 
@@ -484,14 +475,13 @@ def iterate(
             res = float("nan") if residual is None else float(residual(state))
         except GrqiError as exc:
             res, failure = float("nan"), exc
-        _append_row(trace, k, _oracle_errors(state, oracle), res, diag)
+        _append_row(trace, k, _side_angles(state, oracle), res, diag)
         if failure is not None:
             break
-        if (
-            prev is not None
-            and _state_angle(prev, state) <= cfg.angle_tol
-            and (np.isnan(res) or res <= cfg.angle_tol)
-        ):
+        moved = math.inf if prev is None else max(
+            filter(math.isfinite, _side_angles(prev, state))
+        )
+        if moved <= cfg.angle_tol and (np.isnan(res) or res <= cfg.angle_tol):
             trace.status = CONVERGED
             break
         if k == cfg.max_iters:

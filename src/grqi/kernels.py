@@ -2,9 +2,9 @@
 
 The public surface is small: an orthonormal-basis container
 (:class:`Subspace`), principal angles and the invariance residual angle,
-a robust small eigendecomposition (:class:`BlockShift`), shifted solves
-with an automatic perturbation fallback, and a Sylvester solver with a
-spectra-disjointness guard.
+the orthogonal complement of a subspace, a robust small
+eigendecomposition, shifted solves with an automatic perturbation
+fallback, and a Sylvester solver with a spectra-disjointness guard.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import (
 
 __all__ = [
     "Subspace",
-    "BlockShift",
     "orthonormalize",
+    "complement_basis",
     "largest_principal_angle",
     "residual_angle",
     "small_eig",
@@ -78,25 +78,6 @@ class Subspace:
     @property
     def p(self) -> int:
         return self.basis.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class BlockShift:
-    """Eigendecomposition of a small shift block.
-
-    ``eigvecs`` is the p-by-p eigenvector matrix W, ``shifts`` the length-p
-    eigenvalue vector rho with R W = W diag(rho), and ``cond`` the 2-norm
-    condition number of W (infinite when W is singular, i.e. the block is
-    defective).
-    """
-
-    eigvecs: np.ndarray
-    shifts: np.ndarray
-    cond: float
-
-    @property
-    def p(self) -> int:
-        return self.shifts.shape[0]
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
@@ -191,6 +172,13 @@ def orthonormalize(z: np.ndarray) -> Subspace:
     q, failures = _orthonormal_stack(z[None])
     _raise_first(failures)
     return Subspace(q[0])
+
+
+def complement_basis(v: Subspace) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of ``v``
+    (n-by-(n-p); empty when p = n)."""
+    q, _ = np.linalg.qr(v.basis, mode="complete")
+    return q[:, v.p:]
 
 
 def _check_same_shape(u: Subspace, v: Subspace) -> None:
@@ -291,21 +279,21 @@ def _small_eig_stack(r: np.ndarray):
     return vals, w, cond
 
 
-def small_eig(r: np.ndarray) -> BlockShift:
-    """Eigendecomposition of a small (p x p) shift block.
+def small_eig(r: np.ndarray):
+    """Eigendecomposition ``(shifts, eigvecs, cond)`` of a small (p x p)
+    shift block R: R W = W diag(shifts) for W = ``eigvecs``, whose 2-norm
+    condition number ``cond`` is infinite when W is singular.
 
     Blocks with p >= 2 go through the dense nonsymmetric eigensolver.  A
     block within 1e-12 max|r| of a scalar matrix is not defective, so any
     basis diagonalizes it: it gets the identity basis and its diagonal as
-    shifts, where the solver would return nearly parallel vectors.  The
-    condition number of the eigenvector matrix is reported, infinite for
-    a singular one.
+    shifts, where the solver would return nearly parallel vectors.
     """
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise DimensionMismatchError(f"expected a square block, got {r.shape}")
     vals, w, cond = _small_eig_stack(r[None])
-    return BlockShift(eigvecs=w[0], shifts=vals[0], cond=cond[0])
+    return vals[0], w[0], cond[0]
 
 
 def solve_eps(c: np.ndarray) -> float:

@@ -126,13 +126,7 @@ def apply_j(x: np.ndarray) -> np.ndarray:
 
 def j_matrix(n: int) -> np.ndarray:
     """Dense block symplectic form, for checks and tests."""
-    if n % 2 != 0:
-        raise OddDimensionError(f"J needs even dimension, got {n}")
-    h = n // 2
-    j = np.zeros((n, n))
-    j[:h, h:] = np.eye(h)
-    j[h:, :h] = -np.eye(h)
-    return j
+    return apply_j(np.eye(n))
 
 
 def check_structure(c, structure: str, *, b=None, e=None) -> StructureCheck:
@@ -180,6 +174,15 @@ def _as_operator(e):
         return e
     e = np.asarray(e)
     return lambda x: e @ x
+
+
+def _e_pair(y: Subspace, e=None) -> SubspacePair:
+    """Y with its structure-implied left side span(E Y), for E a matrix or
+    a callable, or J when ``e`` is None: J only moves rows and flips their
+    signs, so J Y is orthonormal without a QR."""
+    if e is None:
+        return SubspacePair(left=Subspace(apply_j(y.basis)), right=y)
+    return SubspacePair(left=orthonormalize(_as_operator(e)(y.basis)), right=y)
 
 
 def one_sided_step(
@@ -270,15 +273,10 @@ def full_eigenspace_targets(
     if conjugate_closed is None:
         conjugate_closed = bool(np.isrealobj(c))
     values, s, groups = _mirror_groups(c, conjugate_closed)
-    apply_e = _as_operator(e) if e is not None else None
     out = []
     for g in groups:
         right = orthonormalize(s[:, g])
-        left = (
-            orthonormalize(apply_e(right.basis))
-            if apply_e is not None
-            else None
-        )
+        left = None if e is None else _e_pair(right, e).left
         out.append(TargetGroup(values[g], right, left))
     return out
 

@@ -21,7 +21,7 @@ from .errors import (
     OddDimensionError,
     UnpairedEigenvalueError,
 )
-from .kernels import Subspace, orthonormalize
+from .kernels import Subspace, complement_basis, orthonormalize
 
 __all__ = [
     "trial_rng",
@@ -32,7 +32,6 @@ __all__ = [
     "random_e_skew_hermitian",
     "subspace_at_angle",
     "nearby_subspace",
-    "complement_basis",
     "select_top_modulus",
     "eigenspace_pair_oracle",
     "group_mirror_eigenvalues",
@@ -142,13 +141,6 @@ def random_e_skew_hermitian(
     """Random pair (C, E) with E Hermitian positive definite and
     E C = -C^H E.  Built as C = E^{-1} M with M skew-Hermitian."""
     return _random_e_pair(n, rng, -1.0)
-
-
-def complement_basis(v: Subspace) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of ``v``
-    (n-by-(n-p); empty when p = n)."""
-    q, _ = np.linalg.qr(v.basis, mode="complete")
-    return q[:, v.p:]
 
 
 def subspace_at_angle(

@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from grqi import (
     ExperimentConfig,
     PencilPair,
     StepConfig,
-    Subspace,
     SubspacePair,
     choose_pencil_normalization,
     generalized_hermitian_step,
@@ -161,6 +159,38 @@ def test_refine_warns_of_an_unread_operand(tmp_path, run, flag):
     warning = f"warning: --{flag}-matrix is not read by {' '.join(run)}"
     assert warning in stray.stderr
     assert "warning" not in plain.output
+    assert (tmp_path / "stray.csv").read_bytes() == (
+        tmp_path / "plain.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "method,structure",
+    [("one-sided", "e-hermitian"), ("newton", "none")],
+    ids=["one-sided", "newton"],
+)
+def test_refine_warns_of_unread_left_files(tmp_path, method, structure):
+    # A one-subspace run takes neither --left nor --oracle-left: it says
+    # so on stderr, never opens the oracle file (absent here), and keeps
+    # its exit code and trace bytes.
+    d = tmp_path / "eh"
+    invoke(["gen", "--kind", "e-hermitian", "--n", "8", "--out", str(d)])
+    args = ["refine", "--matrix", str(d / "matrix.mtx"),
+            "--right", str(d / "start_right.mtx"),
+            "--oracle-right", str(d / "oracle_right.mtx"),
+            "--method", method, "--structure", structure]
+    if structure != "none":
+        args += ["--e-matrix", str(d / "e.mtx")]
+    plain = invoke(args + ["--out", str(tmp_path / "plain.csv")])
+    stray = invoke(args + ["--left", str(d / "start_left.mtx"),
+                           "--oracle-left", str(tmp_path / "absent.mtx"),
+                           "--out", str(tmp_path / "stray.csv")])
+    assert stray.exit_code == plain.exit_code == 0, stray.output
+    for flag in ("left", "oracle-left"):
+        warning = (f"warning: --{flag} is not read by --method {method} "
+                   f"--structure {structure}")
+        assert warning in stray.stderr
+        assert warning not in plain.stderr
     assert (tmp_path / "stray.csv").read_bytes() == (
         tmp_path / "plain.csv"
     ).read_bytes()
@@ -607,8 +637,8 @@ def test_refine_grqi_converges_onto_kernel_of_c(tmp_path):
     (["experiment", "hamiltonian"], "--trace"),
 ], ids=["refine-out", "table1-out", "table1-trace", "hamiltonian-out",
         "hamiltonian-trace"])
-@pytest.mark.parametrize("target", ["missing/t.out", "."],
-                         ids=["missing-dir", "is-dir"])
+@pytest.mark.parametrize("target", ["missing/t.out", ".", ""],
+                         ids=["missing-dir", "is-dir", "empty"])
 def test_unwritable_output_path_exits_before_any_work(
     tmp_path, monkeypatch, command, flag, target
 ):
@@ -620,7 +650,8 @@ def test_unwritable_output_path_exits_before_any_work(
     monkeypatch.chdir(tmp_path)
     result = invoke(command + [flag, target])
     assert result.exit_code == 1
-    assert f"{target}: not a file path in an existing directory" in (
+    shown = target or repr(target)
+    assert f"{shown}: not a file path in an existing directory" in (
         result.output
     )
     assert not (tmp_path / "missing").exists()

@@ -1,4 +1,5 @@
-"""The package exports no name that only tests use.
+"""The package exports no name that only tests use, and no module
+imports a name it does not use.
 
 A public name of ``grqi`` must be used by the program: the package
 modules other than ``__init__.py``, the scripts or the benchmark.  A use
@@ -7,6 +8,9 @@ is a loaded name, an attribute or a string constant equal to the name
 ``__all__`` lists and the name's own ``def``, ``class`` or assignment
 are not uses.  Reference code that only tests call lives under
 ``tests/``.
+
+An imported name is used when its module loads it (``os.path.join``
+loads ``os``); ``__init__.py`` re-exports, so it is not scanned.
 """
 import ast
 import inspect
@@ -20,6 +24,7 @@ PROGRAM = [
     *(ROOT / "scripts").glob("*.py"),
     *(ROOT / "perfbench").glob("*.py"),
 ]
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def used_names(tree: ast.AST) -> set:
@@ -51,3 +56,28 @@ def test_every_public_name_is_used_by_the_program():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert sorted(public - used) == []
+
+
+def unused_imports(tree: ast.AST) -> list:
+    imported = [
+        (node.lineno, alias.asname or alias.name.split(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [(line, name) for line, name in imported if name not in loaded]
+
+
+def test_no_module_imports_a_name_it_does_not_load():
+    assert len(TESTS) > 10
+    unused = {}
+    for path in PROGRAM + TESTS:
+        names = unused_imports(ast.parse(path.read_text(), str(path)))
+        if names:
+            unused[str(path.relative_to(ROOT))] = names
+    assert unused == {}

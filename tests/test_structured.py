@@ -9,7 +9,6 @@ from grqi import (
     PencilCoefficients,
     PencilPair,
     STRUCTURES,
-    StepConfig,
     Subspace,
     SubspacePair,
     UnpairedEigenvalueError,
@@ -47,6 +46,18 @@ def test_apply_j_matches_dense_form():
     rng = trial_rng(SEED)
     x = rng.standard_normal((8, 3))
     assert np.array_equal(apply_j(x), j_matrix(8) @ x)
+
+
+def test_j_matrix_layout():
+    # j_matrix is apply_j of the identity, so this pins apply_j's layout.
+    for n in (2, 4, 8):
+        zero, eye = np.zeros((n // 2, n // 2)), np.eye(n // 2)
+        dense = np.block([[zero, eye], [-eye, zero]])
+        assert np.array_equal(j_matrix(n), dense)
+    for n in (1, 3, 7):
+        message = f"^J needs even dimension, got {n}$"
+        with pytest.raises(OddDimensionError, match=message):
+            j_matrix(n)
 
 
 def test_apply_j_odd_dimension():
