@@ -8,6 +8,7 @@ usable normalization); 1 for unreadable or malformed input files.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import sys
 from functools import partial
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import GrqiError, ParseError, UnsupportedFormatError
 from .experiments import (
+    _INSTANCE_KINDS,
     ExperimentConfig,
     _instance,
     format_table,
@@ -100,10 +102,7 @@ _METHODS = {
         lambda c, b, e: partial(newton_chatelin_step, c, full_output=True),
         False,
     ),
-    ("one-sided", "e-hermitian"): _ONE_SIDED,
-    ("one-sided", "e-skew-hermitian"): _ONE_SIDED,
-    ("one-sided", "hamiltonian"): _ONE_SIDED,
-    ("one-sided", "skew-hamiltonian"): _ONE_SIDED,
+    **{("one-sided", s): _ONE_SIDED for s in STRUCTURES if s != "generalized"},
     ("one-sided", "generalized"): (
         Subspace,
         lambda c, b, e: partial(
@@ -264,95 +263,66 @@ def experiment():
     """Canned reproducible convergence studies."""
 
 
-def _run_experiment(runner, cfg, out, trace_path):
-    _check_out(out, trace_path)
-    summary, traces = runner(cfg)
-    click.echo(format_table(summary))
-    click.echo(
-        f"success rate: {summary.success_rate:.4f} "
-        f"({summary.success_count}/{summary.trials})"
-    )
-    click.echo(f"failed trials: {summary.failures}")
-    if summary.p_counts:
-        sizes = ", ".join(f"p={p}: {k}" for p, k in summary.p_counts.items())
-        click.echo(f"block sizes: {sizes}")
-    click.echo(f"wall time: {summary.wall_time:.2f} s")
-    if out:
-        write_summary(out, summary)
-        click.echo(f"wrote {out}")
-    if trace_path:
-        write_traces(trace_path, traces)
-        click.echo(f"wrote {trace_path}")
+def _study_command(name, runner, doc, fields, **defaults):
+    """Register ``grqi experiment NAME``: one option per ExperimentConfig
+    field in ``fields``, with the field's default unless ``defaults``
+    overrides it, then ``--out`` and ``--trace``."""
+    defaults = {
+        f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+    } | defaults
+    params = [
+        click.Option([f"--{field.replace('_', '-')}"], default=defaults[field], show_default=True)
+        for field in fields
+    ] + [
+        click.Option(["--out"], type=click.Path(), help="JSON summary output path"),
+        click.Option(["--trace", "trace_path"], type=click.Path(), help="CSV trace output path"),
+    ]
+
+    @experiment.command(name, params=params, help=doc)
+    def command(out, trace_path, **options):
+        try:
+            cfg = ExperimentConfig(experiment=name, **options)
+        except ValueError as exc:
+            _fail_usage(str(exc))
+        _check_out(out, trace_path)
+        summary, traces = runner(cfg)
+        click.echo(format_table(summary))
+        click.echo(
+            f"success rate: {summary.success_rate:.4f} "
+            f"({summary.success_count}/{summary.trials})"
+        )
+        click.echo(f"failed trials: {summary.failures}")
+        if summary.p_counts:
+            sizes = ", ".join(f"p={p}: {k}" for p, k in summary.p_counts.items())
+            click.echo(f"block sizes: {sizes}")
+        click.echo(f"wall time: {summary.wall_time:.2f} s")
+        if out:
+            write_summary(out, summary)
+            click.echo(f"wrote {out}")
+        if trace_path:
+            write_traces(trace_path, traces)
+            click.echo(f"wrote {trace_path}")
 
 
-@experiment.command("table1")
-@click.option("--n", default=20, show_default=True)
-@click.option("--p", default=5, show_default=True)
-@click.option("--trials", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--start-distance", default=0.1, show_default=True)
-@click.option("--max-iters", default=5, show_default=True)
-@click.option("--workers", default=1, show_default=True)
-@click.option("--out", type=click.Path(), help="JSON summary output path")
-@click.option("--trace", "trace_path", type=click.Path(), help="CSV trace output path")
-def experiment_table1(
-    n, p, trials, seed, start_distance, max_iters, workers, out, trace_path,
-):
+# The runners are looked up when a study runs, so a wrapper installed on
+# this module's bindings sees every call.
+_study_command(
+    "table1", lambda cfg: run_table1(cfg),
     """Per-iterate error statistics of the two-sided step on random
-    diagonalizable matrices."""
-    try:
-        cfg = ExperimentConfig(
-            experiment="table1",
-            n=n,
-            p=p,
-            trials=trials,
-            seed=seed,
-            start_distance=start_distance,
-            max_iters=max_iters,
-            workers=workers,
-        )
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    _run_experiment(run_table1, cfg, out, trace_path)
-
-
-@experiment.command("hamiltonian")
-@click.option("--n", default=20, show_default=True)
-@click.option("--trials", default=10000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--start-distance", default=0.1, show_default=True)
-@click.option("--workers", default=1, show_default=True)
-@click.option("--out", type=click.Path(), help="JSON summary output path")
-@click.option("--trace", "trace_path", type=click.Path(), help="CSV trace output path")
-def experiment_hamiltonian(
-    n, trials, seed, start_distance, workers, out, trace_path
-):
+    diagonalizable matrices.""",
+    ("n", "p", "trials", "seed", "start_distance", "max_iters", "workers"),
+)
+_study_command(
+    "hamiltonian", lambda cfg: run_hamiltonian(cfg),
     """Success-rate study of the structure-exploiting step on random
-    Hamiltonian matrices (ten steps, success below 1e-12)."""
-    try:
-        cfg = ExperimentConfig(
-            experiment="hamiltonian",
-            n=n,
-            trials=trials,
-            seed=seed,
-            start_distance=start_distance,
-            workers=workers,
-        )
-    except ValueError as exc:
-        _fail_usage(str(exc))
-    _run_experiment(run_hamiltonian, cfg, out, trace_path)
-
-
-_GEN_KINDS = (
-    "diagonalizable",
-    "hamiltonian",
-    "e-hermitian",
-    "e-skew-hermitian",
+    Hamiltonian matrices (ten steps, success below 1e-12).""",
+    ("n", "trials", "seed", "start_distance", "workers"),
+    trials=10000,
 )
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice(_GEN_KINDS), default="diagonalizable", show_default=True)
+@click.option("--kind", type=click.Choice(_INSTANCE_KINDS), default="diagonalizable", show_default=True)
 @click.option("--n", default=20, show_default=True)
 @click.option("--p", default=5, show_default=True, help="subspace dimension for diagonalizable, number of largest-modulus eigenvalues for e-hermitian (hamiltonian and e-skew-hermitian target a full eigenvalue group and ignore it)")
 @click.option("--seed", default=0, show_default=True)

@@ -220,6 +220,11 @@ def summarize(
     )
 
 
+_INSTANCE_KINDS = (
+    "diagonalizable", "hamiltonian", "e-hermitian", "e-skew-hermitian",
+)
+
+
 def _instance(kind, n, p, seed, trial, delta):
     """Trial ``trial`` of seed ``seed`` as (C, E, oracle pair, start pair).
 
@@ -227,6 +232,8 @@ def _instance(kind, n, p, seed, trial, delta):
     ``diagonalizable`` and for ``hamiltonian`` (J is implied); the
     structured kinds perturb the right oracle and start from span(E Y).
     """
+    if kind not in _INSTANCE_KINDS:
+        raise ValueError(f"kind must be one of {_INSTANCE_KINDS}, not {kind!r}")
     if kind in ("diagonalizable", "e-hermitian") and not (n > p >= 1):
         raise ValueError(f"need n > p >= 1, got n={n}, p={p}")
     rng = trial_rng(seed, trial)

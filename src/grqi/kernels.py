@@ -328,7 +328,12 @@ def _lu_solves(mats, rho, rhs) -> list:
     out = [None] * len(rhs)
     for side, r in enumerate(rhs):
         if r is not None and info == 0:
-            z = getrs(lu, piv, r, trans=side * adjoint)[0]
+            # OpenBLAS's zgetrs solves one column thread-count-dependently;
+            # a block with a zero column gets the one-thread bits (n <= 64).
+            one = adjoint == 2 and r.ndim == 1
+            block = np.array((r, np.zeros_like(r))).T if one else r
+            z = getrs(lu, piv, block, trans=side * adjoint)[0]
+            z = z[:, 0] if one else z
             out[side] = z if np.isfinite(z).all() else None
     return out
 

@@ -17,7 +17,6 @@ from grqi import (
     j_matrix,
     largest_principal_angle,
     nearby_subspace,
-    newton_chatelin_step,
     orthonormalize,
     pencil_tsgrqi_step,
     random_diagonalizable,
@@ -33,18 +32,13 @@ from grqi import (
 )
 
 from _reference import hermitian_angle, two_sided_rqi_step
+from order_fit import paper_orders
 
 LOG_FLOOR = 1e-300
 
 
 def log10e(value):
     return math.log10(max(value, LOG_FLOOR))
-
-
-def pair_error(pair, oracle_left, oracle_right):
-    return largest_principal_angle(
-        pair.left, oracle_left
-    ) + largest_principal_angle(pair.right, oracle_right)
 
 
 def test_acc1_table1_error_profile():
@@ -90,41 +84,7 @@ def test_acc3_cubic_order_regression():
     # Contraction order fitted as the regression slope of log10(e1) on
     # log10(e0) across the ensemble; a direct 3-point fit saturates at the
     # arithmetic floor from these start distances.
-    e0s, e1s = [], []
-    n0s, n1s = [], []
-    h0s, h1s = [], []
-    for t in range(100):
-        rng = trial_rng(77, t)
-        prob = random_diagonalizable(20, 5, rng)
-        vl, vr = prob.oracle_left, prob.oracle_right
-        pair = SubspacePair(
-            left=nearby_subspace(vl, 1e-2, rng),
-            right=nearby_subspace(vr, 1e-2, rng),
-        )
-        e0s.append(pair_error(pair, vl, vr))
-        pair, _ = tsgrqi_step(prob.matrix, pair)
-        e1s.append(pair_error(pair, vl, vr))
-
-        y = nearby_subspace(vr, 1e-2, rng)
-        n0s.append(largest_principal_angle(y, vr))
-        y = newton_chatelin_step(prob.matrix, y)
-        n1s.append(largest_principal_angle(y, vr))
-
-        q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-        d = rng.permutation(np.arange(1.0, 21.0))
-        a = (q * d) @ q.T
-        vh = orthonormalize(q[:, :5])
-        y = nearby_subspace(vh, 1e-2, rng)
-        h0s.append(largest_principal_angle(y, vh))
-        y = newton_chatelin_step(a, y)
-        h1s.append(largest_principal_angle(y, vh))
-
-    def slope(x, y):
-        return float(np.polyfit(np.log10(x), np.log10(y), 1)[0])
-
-    two_sided = slope(e0s, e1s)
-    newton = slope(n0s, n1s)
-    newton_herm = slope(h0s, h1s)
+    two_sided, newton, newton_herm = paper_orders(100, 20, 5, 77, 1e-2)
     assert two_sided >= 2.5, two_sided
     assert 1.8 <= newton <= 2.7, newton
     assert newton_herm >= 2.5, newton_herm

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from grqi import (
 )
 from grqi.cli import cli
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 runner = CliRunner()
 
 
@@ -976,3 +981,44 @@ def test_experiment_hamiltonian_odd_n_exits_one(tmp_path):
     )
     assert result.exit_code == 1
     assert "Hamiltonian study needs even n > 0, got 7" in result.output
+
+
+# ------------------------------------------------------------ thread count
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The Hamiltonian study and a complex-shift ``refine`` write the same
+    bytes under one and under two BLAS threads.
+
+    Both solve complex systems with one right-hand side: the study on its
+    singular-system retries, the one-sided Hamiltonian refine at every
+    shift.  OpenBLAS's ``zgetrs`` returned other bits for one such column
+    at two threads than at one (n = 4 to 40), so solved one column at a
+    time these outputs differ and this test fails on a 2-vCPU host.  A
+    host with one CPU cannot show the defect: OpenBLAS then runs one
+    thread whatever the variables ask.  The child processes' environment
+    variables are the only setting changed."""
+    commands = [
+        ["experiment", "hamiltonian", "--trials", "300", "--seed", "4",
+         "--out", "h.json", "--trace", "h.csv"],
+        ["gen", "--kind", "hamiltonian", "--n", "20", "--seed", "0"],
+        ["refine", "--matrix", "matrix.mtx", "--right", "start_right.mtx",
+         "--method", "one-sided", "--structure", "hamiltonian",
+         "--oracle-right", "oracle_right.mtx", "--out", "r.csv"],
+    ]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        folder = tmp_path / threads
+        folder.mkdir()
+        for args in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "grqi.cli", *args], cwd=folder,
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in folder.iterdir()})
+    one, two = outputs
+    assert sorted(one) == sorted(two)
+    assert [name for name in sorted(one) if one[name] != two[name]] == []

@@ -331,6 +331,12 @@ def test_instance_targets_first_full_eigenspace_group(kind, seed, trial):
     assert largest_principal_angle(oracle.left, target.left) <= 1e-14
 
 
+@pytest.mark.parametrize("kind", ["e-skew", "table1", "hermitian"])
+def test_instance_refuses_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"not '{kind}'$"):
+        _instance(kind, 6, 2, 0, 0, 0.1)
+
+
 def check_build_failures_recorded(
     tmp_path, monkeypatch, patched, runner, cfg
 ):

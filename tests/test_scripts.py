@@ -25,13 +25,27 @@ def test_order_fit_runs():
     proc = run_script("order_fit.py", "--instances", "5")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
+    steps = [
+        "e-hermitian",
+        "e-skew-hermitian",
+        "hamiltonian",
+        "skew-hamiltonian",
+        "generalized-hermitian",
+        "pencil-two-sided",
+        "fixed-shift",
+    ]
     assert [line.split(":")[0] for line in lines] == [
         "two-sided step",
         "newton, nonnormal",
         "newton, hermitian",
+        *steps,
     ]
-    for line in lines:
+    for line in lines[:3]:
         float(line.split(":")[1])
+    for line in lines[3:]:
+        order, used = line.split(":")[1].split(" (")
+        float(order)
+        assert used == "5 instances)", line
 
 
 def test_reproduce_tables_runs(tmp_path):
