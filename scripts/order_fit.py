@@ -169,17 +169,14 @@ STEP_TRIALS = {
 
 
 def fitted_order(trial, instances, n, p, seed, start_seed):
-    """Slope of log10(e1) on log10(e0) over the instances whose target
-    could be built (a trial returns None for the others), and how many
-    those were.  Instance t is built from trial t of ``seed`` and started
-    from trial t of ``start_seed``."""
-    e0s, e1s = [], []
-    for t in range(instances):
-        errors = trial(n, p, seed, t, trial_rng(start_seed, t))
-        if errors is not None:
-            e0s.append(errors[0])
-            e1s.append(errors[1])
-    return slope(e0s, e1s), len(e0s)
+    """Slope of log10(e1) on log10(e0) over the instances.  Instance t is
+    built from trial t of ``seed`` and started from trial t of
+    ``start_seed``."""
+    e0s, e1s = zip(*(
+        trial(n, p, seed, t, trial_rng(start_seed, t))
+        for t in range(instances)
+    ))
+    return slope(e0s, e1s)
 
 
 def main():
@@ -198,8 +195,8 @@ def main():
     for label, order in zip(labels, paper_orders(*size, args.seed, args.start)):
         print(f"{label + ':':<19} {order:.3f}")
     for label, trial in {**STEP_TRIALS, "fixed-shift": fixed_shift}.items():
-        order, used = fitted_order(trial, *size, STEP_SEED, STEP_SEED + 2**40)
-        print(f"{label + ':':<19} {order:.3f} ({used} instances)")
+        order = fitted_order(trial, *size, STEP_SEED, STEP_SEED + 2**40)
+        print(f"{label + ':':<19} {order:.3f}")
 
 
 if __name__ == "__main__":

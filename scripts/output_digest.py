@@ -7,8 +7,9 @@ The battery runs through ``grqi.cli`` in-process with one BLAS thread:
 instance by ``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided
 structure, ``pencil`` and ``one-sided --structure generalized`` with the
 e-hermitian instance's E as B, ``grqi`` on that Hermitian E, both
-studies at seed 11 with 300 trials, and the 66-trial Hamiltonian run at
-seed 5023667284082138044. Outputs go under OUT_DIR (new or empty), with
+studies at seed 11 with 300 trials, the 66-trial Hamiltonian run at
+seed 5023667284082138044, and the seed-11 Hamiltonian run again from
+start distance 0.001. Outputs go under OUT_DIR (new or empty), with
 ``runs.txt`` holding each command's exit code and output other than
 paths and wall times. One line ``<file> <sha256>`` is printed per file,
 and one line ``<file>:<column> <sha256>`` per column of a trace CSV, so
@@ -75,14 +76,21 @@ def battery(out: pathlib.Path):
                     "--right", str(d / "start_right.mtx"), "--method", "grqi",
                     "--out", str(out / "refine" / f"{name}_grqi-e.csv"),
                 ]
-    studies = (("table1", "11", "300"), ("hamiltonian", "11", "300"),
-               ("hamiltonian", "5023667284082138044", "66"))
-    for study, seed, trials in studies:
-        stem = out / "study" / f"{study}_s{seed}_n{trials}"
-        yield f"experiment {study} seed {seed}", [
-            "experiment", study, "--seed", seed, "--trials", trials,
-            "--out", f"{stem}.json", "--trace", f"{stem}.csv",
-        ]
+    studies = (
+        ("table1", "11", "300", None),
+        ("hamiltonian", "11", "300", None),
+        ("hamiltonian", "5023667284082138044", "66", None),
+        ("hamiltonian", "11", "300", "0.001"),
+    )
+    for study, seed, trials, start in studies:
+        label = f"experiment {study} seed {seed}"
+        name = f"{study}_s{seed}_n{trials}"
+        args = ["experiment", study, "--seed", seed, "--trials", trials]
+        if start:
+            label, name = f"{label} start {start}", f"{name}_d{start}"
+            args += ["--start-distance", start]
+        stem = out / "study" / name
+        yield label, args + ["--out", f"{stem}.json", "--trace", f"{stem}.csv"]
 
 
 def sha256(data: bytes) -> str:

@@ -118,8 +118,10 @@ def _load_matrix(path: str, like: np.ndarray | None = None) -> np.ndarray:
     """Read a finite matrix; with ``like``, exit unless it has that shape."""
     try:
         m = read_matrix(path)
-    except (ParseError, UnsupportedFormatError, OSError) as exc:
+    except (ParseError, OSError) as exc:  # these name the path
         _fail_usage(str(exc))
+    except UnsupportedFormatError as exc:
+        _fail_usage(f"{path}: {exc}")
     if not np.isfinite(m).all():
         _fail_usage(f"{path}: matrix has nonfinite entries")
     if like is not None and m.shape != like.shape:
@@ -130,8 +132,8 @@ def _load_matrix(path: str, like: np.ndarray | None = None) -> np.ndarray:
 def _load_subspace(path: str, n: int, p: int | None = None) -> Subspace:
     """Read a basis; exit unless it has ``n`` rows (and ``p`` columns)."""
     try:
-        y = orthonormalize(read_matrix(path))
-    except (ParseError, UnsupportedFormatError, OSError, GrqiError) as exc:
+        y = orthonormalize(_load_matrix(path))
+    except GrqiError as exc:
         _fail_usage(f"{path}: {exc}")
     shape = (n, p or y.p)
     if y.basis.shape != shape:
@@ -175,28 +177,29 @@ def refine(
     c = _load_matrix(matrix)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         _fail_usage(f"{matrix}: matrix must be square, got {c.shape}")
-    b = _load_matrix(b_matrix, c) if b_matrix else None
-    e = _load_matrix(e_matrix, c) if e_matrix else None
 
     needs = STRUCTURES.get(structure, (None,))[0]
-    if needs and {"b": b, "e": e}[needs] is None:
+    if needs and not {"b": b_matrix, "e": e_matrix}[needs]:
         _fail_usage(f"--structure {structure} needs --{needs}-matrix")
     entry = _METHODS.get((method, None)) or _METHODS.get((method, structure))
     if entry is None:
         _fail_usage(f"--method {method} needs a --structure")
     state_type, build_step, pencil = entry
-    if pencil and b is None:
+    if pencil and not b_matrix:
         _fail_usage(f"--method {method} needs --b-matrix")
     paired = state_type is not Subspace
+    read_b, read_e = needs == "b" or pencil, needs == "e"
     for flag, path, read in (
-        ("e-matrix", e_matrix, needs == "e"),
-        ("b-matrix", b_matrix, needs == "b" or pencil),
+        ("e-matrix", e_matrix, read_e),
+        ("b-matrix", b_matrix, read_b),
         ("left", left, paired),
         ("oracle-left", oracle_left, paired),
     ):
         if path and not read:
             click.echo(f"warning: --{flag} is not read by --method {method} "
                        f"--structure {structure}", err=True)
+    b = _load_matrix(b_matrix, c) if read_b else None
+    e = _load_matrix(e_matrix, c) if read_e else None
 
     if structure != "none":
         try:
@@ -215,7 +218,7 @@ def refine(
 
     n = c.shape[0]
     yr = _load_subspace(right, n)
-    yl = _load_subspace(left, n) if left else yr
+    yl = _load_subspace(left, n) if left and paired else yr
     if paired and (oracle_right is None) != (oracle_left is None):
         _fail_usage(f"--method {method} needs both oracle files or neither")
     oracle = None

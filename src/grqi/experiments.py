@@ -361,6 +361,10 @@ def _run_study(
 ) -> tuple[ExperimentSummary, list[IterationTrace]]:
     """Run and summarize a study; the Hamiltonian block size varies per
     trial, so its summary counts trials per size instead of one ``p``."""
+    if cfg.experiment != experiment:
+        raise ValueError(
+            f"{experiment} study given a config for {cfg.experiment!r}"
+        )
     t0 = time.perf_counter()
     args = [
         (experiment, cfg.seed, range(t, min(t + _CHUNK, cfg.trials)), cfg.n,

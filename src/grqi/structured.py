@@ -134,9 +134,10 @@ def check_structure(c, structure: str, *, b=None, e=None) -> StructureCheck:
     the square matrix C, returning (ok, defect norm).
 
     The claim reads the operand its entry names (``b`` or ``e``, of C's
-    shape) or the dense J.  The defect, ||E C - s C^H E||_2 or the larger
+    shape) or applies J.  The defect, ||E C - s C^H E||_2 or the larger
     of ||C - C^H||_2 and ||B - B^H||_2, is compared against ``1e-10``
-    times the natural norm scale of the operands.
+    times the natural norm scale of the operands.  J^H = -J, so for J
+    the defect is ||J C + s (J C)^H||_2 and ||J||_2 = 1.
     """
     if structure not in STRUCTURES:
         raise ValueError(
@@ -149,22 +150,24 @@ def check_structure(c, structure: str, *, b=None, e=None) -> StructureCheck:
     if c.shape != (n, n):
         raise DimensionMismatchError(f"matrix must be square, got {c.shape}")
     if operand is None:
-        m = j_matrix(n)
+        jc = apply_j(c)
+        defect = float(np.linalg.norm(jc + sign * jc.conj().T, 2))
+        scale = float(np.linalg.norm(c, 2))
     else:
         m = np.asarray({"b": b, "e": e}[operand])
         if m.shape != (n, n):
             raise DimensionMismatchError(
                 f"{operand.upper()} is {m.shape}, expected {(n, n)}"
             )
-    if sign is None:
-        defect = max(
-            float(np.linalg.norm(c - c.conj().T, 2)),
-            float(np.linalg.norm(m - m.conj().T, 2)),
-        )
-        scale = max(np.linalg.norm(c, 2), np.linalg.norm(m, 2), 1.0)
-        return StructureCheck(defect <= _STRUCT_RTOL * scale, defect)
-    defect = float(np.linalg.norm(m @ c - sign * (c.conj().T @ m), 2))
-    scale = float(np.linalg.norm(m, 2) * np.linalg.norm(c, 2))
+        if sign is None:
+            defect = max(
+                float(np.linalg.norm(c - c.conj().T, 2)),
+                float(np.linalg.norm(m - m.conj().T, 2)),
+            )
+            scale = float(max(np.linalg.norm(c, 2), np.linalg.norm(m, 2)))
+        else:
+            defect = float(np.linalg.norm(m @ c - sign * (c.conj().T @ m), 2))
+            scale = float(np.linalg.norm(m, 2) * np.linalg.norm(c, 2))
     return StructureCheck(defect <= _STRUCT_RTOL * max(scale, 1.0), defect)
 
 

@@ -150,23 +150,25 @@ def test_refine_nonstrict_structure_warns_and_runs(tmp_path):
     ids=["one-sided-hamiltonian-e", "tsgrqi-b", "tsgrqi-e"],
 )
 def test_refine_warns_of_an_unread_operand(tmp_path, run, flag):
-    # The operand is read and checked, then left out of the run: the run
-    # says so on stderr and keeps its exit code and trace bytes.
+    # The operand is never opened, so a malformed one does no harm: the
+    # run says so on stderr and keeps its exit code and trace bytes.
     ham, eh = tmp_path / "ham", tmp_path / "eh"
     invoke(["gen", "--kind", "hamiltonian", "--n", "8", "--out", str(ham)])
     invoke(["gen", "--kind", "e-hermitian", "--n", "8", "--out", str(eh)])
+    (tmp_path / "bad.mtx").write_text("not a matrix\n")
     args = ["refine", "--matrix", str(ham / "matrix.mtx"),
             "--right", str(ham / "start_right.mtx"), *run]
     plain = invoke(args + ["--out", str(tmp_path / "plain.csv")])
-    stray = invoke(args + [f"--{flag}-matrix", str(eh / "e.mtx"),
-                           "--out", str(tmp_path / "stray.csv")])
-    assert stray.exit_code == plain.exit_code == 0, stray.output
-    warning = f"warning: --{flag}-matrix is not read by {' '.join(run)}"
-    assert warning in stray.stderr
     assert "warning" not in plain.output
-    assert (tmp_path / "stray.csv").read_bytes() == (
-        tmp_path / "plain.csv"
-    ).read_bytes()
+    for operand in (eh / "e.mtx", tmp_path / "bad.mtx"):
+        stray = invoke(args + [f"--{flag}-matrix", str(operand),
+                               "--out", str(tmp_path / "stray.csv")])
+        assert stray.exit_code == plain.exit_code == 0, stray.output
+        warning = f"warning: --{flag}-matrix is not read by {' '.join(run)}"
+        assert warning in stray.stderr
+        assert (tmp_path / "stray.csv").read_bytes() == (
+            tmp_path / "plain.csv"
+        ).read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -176,10 +178,12 @@ def test_refine_warns_of_an_unread_operand(tmp_path, run, flag):
 )
 def test_refine_warns_of_unread_left_files(tmp_path, method, structure):
     # A one-subspace run takes neither --left nor --oracle-left: it says
-    # so on stderr, never opens the oracle file (absent here), and keeps
-    # its exit code and trace bytes.
+    # so on stderr, opens neither file (the oracle is absent here, the
+    # left basis well formed or malformed), and keeps its exit code and
+    # trace bytes.
     d = tmp_path / "eh"
     invoke(["gen", "--kind", "e-hermitian", "--n", "8", "--out", str(d)])
+    (tmp_path / "bad.mtx").write_text("not a matrix\n")
     args = ["refine", "--matrix", str(d / "matrix.mtx"),
             "--right", str(d / "start_right.mtx"),
             "--oracle-right", str(d / "oracle_right.mtx"),
@@ -187,35 +191,43 @@ def test_refine_warns_of_unread_left_files(tmp_path, method, structure):
     if structure != "none":
         args += ["--e-matrix", str(d / "e.mtx")]
     plain = invoke(args + ["--out", str(tmp_path / "plain.csv")])
-    stray = invoke(args + ["--left", str(d / "start_left.mtx"),
-                           "--oracle-left", str(tmp_path / "absent.mtx"),
-                           "--out", str(tmp_path / "stray.csv")])
-    assert stray.exit_code == plain.exit_code == 0, stray.output
-    for flag in ("left", "oracle-left"):
-        warning = (f"warning: --{flag} is not read by --method {method} "
-                   f"--structure {structure}")
-        assert warning in stray.stderr
-        assert warning not in plain.stderr
-    assert (tmp_path / "stray.csv").read_bytes() == (
-        tmp_path / "plain.csv"
-    ).read_bytes()
+    for left in (d / "start_left.mtx", tmp_path / "bad.mtx"):
+        stray = invoke(args + ["--left", str(left),
+                               "--oracle-left", str(tmp_path / "absent.mtx"),
+                               "--out", str(tmp_path / "stray.csv")])
+        assert stray.exit_code == plain.exit_code == 0, stray.output
+        for flag in ("left", "oracle-left"):
+            warning = (f"warning: --{flag} is not read by --method {method} "
+                       f"--structure {structure}")
+            assert warning in stray.stderr
+            assert warning not in plain.stderr
+        assert (tmp_path / "stray.csv").read_bytes() == (
+            tmp_path / "plain.csv"
+        ).read_bytes()
 
 
 def test_refine_malformed_matrix_exits_one(tmp_path):
+    # A malformed matrix or basis, or a missing one, is named once.
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n")
-    write_matrix(tmp_path / "y.mtx", np.eye(2)[:, :1])
-    result = runner.invoke(
-        cli,
-        [
-            "refine",
-            "--matrix", str(bad),
-            "--right", str(tmp_path / "y.mtx"),
-            "--out", str(tmp_path / "t.csv"),
-        ],
-    )
-    assert result.exit_code == 1
-    assert "bad.mtx" in result.output
+    c, y = tmp_path / "c.mtx", tmp_path / "y.mtx"
+    write_matrix(c, np.eye(2))
+    write_matrix(y, np.eye(2)[:, :1])
+    missing = tmp_path / "missing.mtx"
+    for matrix, right, culprit in (
+        (bad, y, bad), (c, bad, bad), (c, missing, missing),
+    ):
+        result = runner.invoke(
+            cli,
+            [
+                "refine",
+                "--matrix", str(matrix),
+                "--right", str(right),
+                "--out", str(tmp_path / "t.csv"),
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.output.count(culprit.name) == 1, result.output
 
 
 def test_refine_one_sided_requires_structure(tmp_path):
@@ -958,21 +970,23 @@ def test_experiment_table1_deterministic_bytes(tmp_path):
 
 def test_experiment_hamiltonian_runs_small(tmp_path):
     out = tmp_path / "summary.json"
-    result = invoke(
-        [
-            "experiment", "hamiltonian",
-            "--n", "8",
-            "--trials", "12",
-            "--seed", "9",
-            "--out", str(out),
-        ]
-    )
-    assert result.exit_code == 0, result.output
-    doc = json.loads(out.read_text())
-    assert doc["experiment"] == "hamiltonian"
-    assert doc["p"] is None
-    assert "success rate" in result.output
-    assert "block sizes: p=" in result.output
+    for start in ("0.1", "0.001"):
+        result = invoke(
+            [
+                "experiment", "hamiltonian",
+                "--n", "8",
+                "--trials", "12",
+                "--seed", "9",
+                "--start-distance", start,
+                "--out", str(out),
+            ]
+        )
+        assert result.exit_code == 0, result.output
+        doc = json.loads(out.read_text())
+        assert doc["experiment"] == "hamiltonian"
+        assert doc["p"] is None
+        assert "success rate" in result.output
+        assert "block sizes: p=" in result.output
 
 
 def test_experiment_hamiltonian_odd_n_exits_one(tmp_path):

@@ -219,6 +219,13 @@ def test_table1_workers_do_not_change_results(table1_small):
     assert summary_json(summary) == summary_json(summary2)
 
 
+def test_table1_refuses_a_hamiltonian_config(monkeypatch):
+    monkeypatch.setattr("grqi.experiments._instance", None)  # draws nothing
+    with pytest.raises(ValueError, match="table1 study given a config for "
+                                         "'hamiltonian'"):
+        run_table1(ExperimentConfig(experiment="hamiltonian", n=4, trials=3))
+
+
 def test_table1_csv_roundtrip(tmp_path, table1_small):
     cfg, (summary, traces) = table1_small
     failed = IterationTrace(
@@ -286,6 +293,13 @@ def test_hamiltonian_success_criterion(hamiltonian_small):
 def test_hamiltonian_rejects_odd_n():
     with pytest.raises(ValueError):
         run_hamiltonian(ExperimentConfig(experiment="hamiltonian", n=7, p=2, trials=1))
+
+
+def test_hamiltonian_refuses_a_table1_config(monkeypatch):
+    monkeypatch.setattr("grqi.experiments._instance", None)  # draws nothing
+    with pytest.raises(ValueError, match="hamiltonian study given a config "
+                                         "for 'table1'"):
+        run_hamiltonian(ExperimentConfig(n=5, p=2, trials=3))
 
 
 def test_hamiltonian_workers_determinism():

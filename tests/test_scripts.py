@@ -1,6 +1,5 @@
 """Smoke runs of the scripts under scripts/ at tiny sizes."""
 
-import json
 import os
 import pathlib
 import re
@@ -40,28 +39,8 @@ def test_order_fit_runs():
         "newton, hermitian",
         *steps,
     ]
-    for line in lines[:3]:
+    for line in lines:
         float(line.split(":")[1])
-    for line in lines[3:]:
-        order, used = line.split(":")[1].split(" (")
-        float(order)
-        assert used == "5 instances)", line
-
-
-def test_reproduce_tables_runs(tmp_path):
-    proc = run_script(
-        "reproduce_tables.py",
-        "--trials", "5",
-        "--hamiltonian-trials", "5",
-        "--out-dir", str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "error profile (5 trials" in proc.stdout
-    for start in ("0.1", "0.001"):
-        assert f"hamiltonian start={start}: success rate" in proc.stdout
-    names = ["table1.json", "hamiltonian_0.1.json", "hamiltonian_0.001.json"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-    assert json.loads((tmp_path / "table1.json").read_text())["trials"] == 5
 
 
 def test_output_digest_covers_the_battery(tmp_path):
@@ -74,7 +53,8 @@ def test_output_digest_covers_the_battery(tmp_path):
         assert f"gen/{kind}_s3_t7/matrix.mtx" in names
     assert "gen/e-skew-hermitian_s11_t42/e.mtx" in names
     for stem in ("table1_s11_n300", "hamiltonian_s11_n300",
-                 "hamiltonian_s5023667284082138044_n66"):
+                 "hamiltonian_s5023667284082138044_n66",
+                 "hamiltonian_s11_n300_d0.001"):
         assert f"study/{stem}.json" in names
         for column in ("right_err", "residual_angle", "failure_reason"):
             assert f"study/{stem}.csv:{column}" in names

@@ -152,6 +152,9 @@ def test_check_structure_unknown_name_lists_the_table():
         "e-hermitian", "e-skew-hermitian", "hamiltonian",
         "skew-hamiltonian", "generalized",
     ]
+    for structure in STRUCTURES:
+        ok, _ = check_structure(np.eye(4), structure, b=np.eye(4), e=np.eye(4))
+        assert type(ok) is bool, structure
 
 
 @pytest.mark.parametrize("structure, operand", [
