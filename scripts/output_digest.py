@@ -3,9 +3,11 @@
     python scripts/output_digest.py OUT_DIR
 
 The battery runs through ``grqi.cli`` in-process with one BLAS thread:
-``gen`` of every kind at three (seed, trial) streams, ``refine`` of each
-instance by ``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided
-structure, ``pencil`` and ``one-sided --structure generalized`` with the
+``gen`` of every kind at three (seed, trial) streams with p = 5, and of
+the ``diagonalizable`` and ``e-hermitian`` kinds at one stream with
+p = 1, whose steps take 1x1 quotients; ``refine`` of each instance by
+``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided structure,
+``pencil`` and ``one-sided --structure generalized`` with the
 e-hermitian instance's E as B, ``grqi`` on that Hermitian E, both
 studies at seed 11 with 300 trials, the 66-trial Hamiltonian run at
 seed 5023667284082138044, and the seed-11 Hamiltonian run again from
@@ -14,6 +16,13 @@ start distance 0.001. Outputs go under OUT_DIR (new or empty), with
 paths and wall times. One line ``<file> <sha256>`` is printed per file,
 and one line ``<file>:<column> <sha256>`` per column of a trace CSV, so
 a ``diff`` of two trees' digests names the files and columns that moved.
+
+To compare two source trees, run the same copy of this script on each
+and diff the digests:
+
+    PYTHONPATH=TREE_A/src python scripts/output_digest.py OUT_A > a.txt
+    PYTHONPATH=TREE_B/src python scripts/output_digest.py OUT_B > b.txt
+    diff a.txt b.txt
 """
 import os
 
@@ -30,52 +39,57 @@ from click.testing import CliRunner  # noqa: E402
 from grqi.cli import cli  # noqa: E402
 
 KINDS = ("diagonalizable", "hamiltonian", "e-hermitian", "e-skew-hermitian")
-STREAMS = ((0, 0), (3, 7), (11, 42))
+# (kind, seed, trial, p); the other kinds ignore p.
+INSTANCES = (
+    *((kind, seed, trial, 5)
+      for kind in KINDS for seed, trial in ((0, 0), (3, 7), (11, 42))),
+    ("diagonalizable", 0, 0, 1),
+    ("e-hermitian", 0, 0, 1),
+)
 
 
 def battery(out: pathlib.Path):
     """Yield (label, grqi arguments) for every command of the battery."""
-    for kind in KINDS:
-        for seed, trial in STREAMS:
-            name = f"{kind}_s{seed}_t{trial}"
-            d = out / "gen" / name
-            yield f"gen {name}", [
-                "gen", "--kind", kind, "--n", "20", "--p", "5",
-                "--seed", str(seed), "--trial", str(trial), "--out", str(d),
+    for kind, seed, trial, p in INSTANCES:
+        name = f"{kind}_s{seed}_t{trial}" + ("" if p == 5 else f"_p{p}")
+        d = out / "gen" / name
+        yield f"gen {name}", [
+            "gen", "--kind", kind, "--n", "20", "--p", str(p),
+            "--seed", str(seed), "--trial", str(trial), "--out", str(d),
+        ]
+        right = ["--right", str(d / "start_right.mtx"),
+                 "--oracle-right", str(d / "oracle_right.mtx")]
+        left = ["--left", str(d / "start_left.mtx"),
+                "--oracle-left", str(d / "oracle_left.mtx")]
+        runs = {
+            "tsgrqi": right + left,
+            "newton": right + ["--method", "newton"],
+            "grqi": right + ["--method", "grqi"],
+        }
+        if kind != "diagonalizable":
+            runs[kind] = right + [
+                "--method", "one-sided", "--structure", kind,
+            ] + (["--e-matrix", str(d / "e.mtx")] if kind != "hamiltonian"
+                 else [])
+        if kind == "e-hermitian":
+            b = ["--b-matrix", str(d / "e.mtx")]
+            runs["pencil"] = right + left + b + ["--method", "pencil"]
+            runs["generalized"] = right + b + [
+                "--method", "one-sided", "--structure", "generalized",
             ]
-            right = ["--right", str(d / "start_right.mtx"),
-                     "--oracle-right", str(d / "oracle_right.mtx")]
-            left = ["--left", str(d / "start_left.mtx"),
-                    "--oracle-left", str(d / "oracle_left.mtx")]
-            runs = {
-                "tsgrqi": right + left,
-                "newton": right + ["--method", "newton"],
-                "grqi": right + ["--method", "grqi"],
-            }
-            if kind != "diagonalizable":
-                runs[kind] = right + [
-                    "--method", "one-sided", "--structure", kind,
-                ] + (["--e-matrix", str(d / "e.mtx")] if kind != "hamiltonian"
-                     else [])
-            if kind == "e-hermitian":
-                b = ["--b-matrix", str(d / "e.mtx")]
-                runs["pencil"] = right + left + b + ["--method", "pencil"]
-                runs["generalized"] = right + b + [
-                    "--method", "one-sided", "--structure", "generalized",
-                ]
-            for method, args in runs.items():
-                yield f"refine {name} {method}", [
-                    "refine", "--matrix", str(d / "matrix.mtx"), *args,
-                    "--out", str(out / "refine" / f"{name}_{method}.csv"),
-                ]
-            if kind == "e-hermitian":
-                # E is Hermitian positive definite, so grqi steps on it;
-                # every matrix.mtx is non-Hermitian and refused.
-                yield f"refine {name} grqi-e", [
-                    "refine", "--matrix", str(d / "e.mtx"),
-                    "--right", str(d / "start_right.mtx"), "--method", "grqi",
-                    "--out", str(out / "refine" / f"{name}_grqi-e.csv"),
-                ]
+        for method, args in runs.items():
+            yield f"refine {name} {method}", [
+                "refine", "--matrix", str(d / "matrix.mtx"), *args,
+                "--out", str(out / "refine" / f"{name}_{method}.csv"),
+            ]
+        if kind == "e-hermitian":
+            # E is Hermitian positive definite, so grqi steps on it;
+            # every matrix.mtx is non-Hermitian and refused.
+            yield f"refine {name} grqi-e", [
+                "refine", "--matrix", str(d / "e.mtx"),
+                "--right", str(d / "start_right.mtx"), "--method", "grqi",
+                "--out", str(out / "refine" / f"{name}_grqi-e.csv"),
+            ]
     studies = (
         ("table1", "11", "300", None),
         ("hamiltonian", "11", "300", None),

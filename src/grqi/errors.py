@@ -87,6 +87,6 @@ class ParseError(GrqiError):
         self.line = line
 
 
-class UnsupportedFormatError(GrqiError):
-    """The matrix file is valid but uses an unsupported layout (for example
-    sparse coordinate data, or a symmetry other than general)."""
+class UnsupportedFormatError(ParseError):
+    """A :class:`ParseError` at ``path:1``: the header names an unsupported
+    layout, such as sparse coordinate data or a non-general symmetry."""

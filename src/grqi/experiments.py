@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import os
-import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -54,7 +53,6 @@ from .testgen import (
     random_e_hermitian,
     random_e_skew_hermitian,
     random_hamiltonian,
-    select_top_modulus,
     trial_rng,
 )
 
@@ -138,8 +136,8 @@ class ExperimentSummary:
 
     ``p`` is None when the block size varies per trial (the Hamiltonian
     study picks 2 or 4 depending on the target eigenvalue group);
-    ``p_counts`` then holds the per-size trial counts.  ``wall_time`` is
-    informational only and never serialized.
+    ``p_counts`` then holds the per-size trial counts.  It holds no
+    timing, so repeated runs give equal summaries.
     """
 
     experiment: str
@@ -152,7 +150,6 @@ class ExperimentSummary:
     success_rate: float = 0.0
     failures: int = 0
     p_counts: dict[int, int] | None = None
-    wall_time: float = 0.0
 
 
 def _log10e(value: float) -> float:
@@ -167,12 +164,11 @@ def summarize(
     p: int | None = None,
     seed: int = 0,
     success=None,
-    wall_time: float = 0.0,
 ) -> ExperimentSummary:
     """Aggregate traces into per-iterate mean/max log10 error statistics.
 
     ``success`` maps a trace to a bool; the default counts every trace that
-    did not fail.  Every trace must carry oracle errors.
+    did not fail.  Every trace must carry oracle errors.  Reads no clock.
     """
     if not traces:
         raise ValueError("cannot summarize an empty trace set")
@@ -216,7 +212,6 @@ def summarize(
         success_count=wins,
         success_rate=wins / len(traces),
         failures=sum(1 for trace in traces if trace.status == FAILURE),
-        wall_time=wall_time,
     )
 
 
@@ -248,7 +243,7 @@ def _instance(kind, n, p, seed, trial, delta):
     if kind == "e-hermitian":
         c, e = random_e_hermitian(n, rng)
         # Real spectrum: no mirror pairing, target the top-modulus group.
-        left, right, _ = eigenspace_pair_oracle(c, select_top_modulus(p))
+        left, right, _ = eigenspace_pair_oracle(c, p)
         oracle = SubspacePair(left=left, right=right)
     else:
         if kind == "hamiltonian":
@@ -365,7 +360,6 @@ def _run_study(
         raise ValueError(
             f"{experiment} study given a config for {cfg.experiment!r}"
         )
-    t0 = time.perf_counter()
     args = [
         (experiment, cfg.seed, range(t, min(t + _CHUNK, cfg.trials)), cfg.n,
          cfg.p, cfg.start_distance, steps)
@@ -377,7 +371,7 @@ def _run_study(
     fixed_p = experiment == "table1"
     summary = summarize(
         traces, experiment=experiment, n=cfg.n, p=cfg.p if fixed_p else None,
-        seed=cfg.seed, success=success, wall_time=time.perf_counter() - t0,
+        seed=cfg.seed, success=success,
     )
     if not fixed_p:
         sizes = Counter(p for _, p in results if p)
@@ -509,7 +503,7 @@ def read_traces(path: str | os.PathLike) -> list[IterationTrace]:
 def summary_json(summary: ExperimentSummary) -> str:
     """Serialize the summary to JSON with a fixed key set.
 
-    Timing is deliberately excluded so that identical seeds produce
+    The summary holds no timing, so identical seeds produce
     byte-identical documents.
     """
     doc = {

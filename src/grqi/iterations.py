@@ -104,14 +104,6 @@ class SubspacePair:
                 f"right is {self.right.n}x{self.right.p}"
             )
 
-    @property
-    def n(self) -> int:
-        return self.right.n
-
-    @property
-    def p(self) -> int:
-        return self.right.p
-
 
 @dataclass(frozen=True)
 class IterationRecord:

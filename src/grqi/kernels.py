@@ -195,16 +195,10 @@ def _principal_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     cos = np.minimum(np.linalg.svd(g, compute_uv=False)[:, -1], 1.0)
     # The cosine cannot resolve angles below about sqrt(eps): those go
     # through the sine of the part of v orthogonal to u.
-    near = [c * c > 0.5 for c in cos.tolist()]
-    if not any(near):
-        return np.arccos(cos)
-    if not all(near):
-        u, v, g = u[near], v[near], g[near]
-    sine = np.minimum(np.linalg.svd(v - u @ g, compute_uv=False)[:, 0], 1.0)
-    if all(near):
-        return np.arcsin(sine)
+    near = cos * cos > 0.5
     angle = np.arccos(cos)
-    angle[near] = np.arcsin(sine)
+    sine = np.linalg.svd((v - u @ g)[near], compute_uv=False)[:, 0]
+    angle[near] = np.arcsin(np.minimum(sine, 1.0))
     return angle
 
 
@@ -258,24 +252,19 @@ def _small_eig_stack(r: np.ndarray):
     """:func:`small_eig` for a (k, p, p) stack of blocks.  Returns
     ``(shifts, eigvecs, cond)``."""
     k, p, _ = r.shape
-    if p == 1:
-        w = np.ones((k, 1, 1), dtype=complex)
-        vals = r[:, 0, :].astype(complex)
-        cond = [1.0] * k
-    else:
-        vals, w = np.linalg.eig(r)
-        w = np.asarray(w, dtype=complex)
-        vals = np.asarray(vals, dtype=complex)
-        # sigma_max / sigma_min, infinite for a singular basis.
-        sv = np.linalg.svd(w, compute_uv=False)
-        cond = [top / bottom if bottom else math.inf
-                for top, bottom in _extremes(sv)]
-        for t in range(k):
-            if cond[t] > _DEFECTIVE_COND:
-                off_scalar = np.abs(r[t] - r[t, 0, 0] * np.eye(p)).max()
-                if off_scalar <= 1e-12 * np.abs(r[t]).max():
-                    w[t], cond[t] = np.eye(p), 1.0
-                    vals[t] = np.diag(r[t])
+    vals, w = np.linalg.eig(r)
+    w = np.asarray(w, dtype=complex)
+    vals = np.asarray(vals, dtype=complex)
+    # sigma_max / sigma_min, infinite for a singular basis.
+    sv = np.linalg.svd(w, compute_uv=False)
+    cond = [top / bottom if bottom else math.inf
+            for top, bottom in _extremes(sv)]
+    for t in range(k):
+        if cond[t] > _DEFECTIVE_COND:
+            off_scalar = np.abs(r[t] - r[t, 0, 0] * np.eye(p)).max()
+            if off_scalar <= 1e-12 * np.abs(r[t]).max():
+                w[t], cond[t] = np.eye(p), 1.0
+                vals[t] = np.diag(r[t])
     return vals, w, cond
 
 
@@ -284,10 +273,11 @@ def small_eig(r: np.ndarray):
     shift block R: R W = W diag(shifts) for W = ``eigvecs``, whose 2-norm
     condition number ``cond`` is infinite when W is singular.
 
-    Blocks with p >= 2 go through the dense nonsymmetric eigensolver.  A
-    block within 1e-12 max|r| of a scalar matrix is not defective, so any
-    basis diagonalizes it: it gets the identity basis and its diagonal as
-    shifts, where the solver would return nearly parallel vectors.
+    Every block, 1x1 included, goes through the dense nonsymmetric
+    eigensolver.  A block within 1e-12 max|r| of a scalar matrix is not
+    defective, so any basis diagonalizes it: it gets the identity basis
+    and its diagonal as shifts, where the solver would return nearly
+    parallel vectors.
     """
     r = np.asarray(r)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:

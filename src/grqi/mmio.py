@@ -57,16 +57,18 @@ def _parse_header(line: str, path: str) -> bool:
         )
     obj, fmt, field, symmetry = (t.lower() for t in tokens[1:])
     if obj != "matrix":
-        raise UnsupportedFormatError(f"unsupported object {obj!r}")
-    if fmt != "array":
-        raise UnsupportedFormatError(
+        problem = f"unsupported object {obj!r}"
+    elif fmt != "array":
+        problem = (
             f"unsupported format {fmt!r}: only dense 'array' files are read"
         )
-    if field not in ("real", "complex"):
-        raise UnsupportedFormatError(f"unsupported field {field!r}")
-    if symmetry != "general":
-        raise UnsupportedFormatError(f"unsupported symmetry {symmetry!r}")
-    return field == "complex"
+    elif field not in ("real", "complex"):
+        problem = f"unsupported field {field!r}"
+    elif symmetry != "general":
+        problem = f"unsupported symmetry {symmetry!r}"
+    else:
+        return field == "complex"
+    raise UnsupportedFormatError(problem, path=path, line=1)
 
 
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
@@ -74,14 +76,14 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
 
     Returns a float64 matrix for ``real`` files and a complex128 matrix for
     ``complex`` files.  Raises :class:`~grqi.errors.ParseError` with a
-    1-based line number on malformed content and
-    :class:`~grqi.errors.UnsupportedFormatError` for coordinate files or
-    other unsupported header variants.
+    1-based line number on malformed content, and its subclass
+    :class:`~grqi.errors.UnsupportedFormatError`, at line 1, for coordinate
+    files or other unsupported header variants.
     """
     path = os.fspath(path)
     with open(path) as fh:
         raw = fh.read().split("\n")
-    if not raw or not raw[0].strip():
+    if not raw[0].strip():
         raise ParseError("empty file, expected a header", path=path, line=1)
     is_complex = _parse_header(raw[0], path)
 

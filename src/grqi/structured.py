@@ -112,15 +112,13 @@ class StructureCheck(NamedTuple):
 
 def apply_j(x: np.ndarray) -> np.ndarray:
     """Apply the block symplectic form J = [[0, I], [-I, 0]] without
-    materializing it: O(np) row swap with sign.  ``x`` is a vector, a
-    matrix or a stack of matrices, mapped matrix by matrix."""
+    materializing it: O(np) row swap with sign.  ``x`` is a matrix or a
+    stack of matrices, mapped matrix by matrix."""
     x = np.asarray(x)
-    n = x.shape[0] if x.ndim == 1 else x.shape[-2]
+    n = x.shape[-2]
     if n % 2 != 0:
         raise OddDimensionError(f"J needs even dimension, got {n}")
     h = n // 2
-    if x.ndim == 1:
-        return np.concatenate([x[h:], -x[:h]])
     return np.concatenate([x[..., h:, :], -x[..., :h, :]], axis=-2)
 
 
@@ -308,7 +306,7 @@ def pencil_tsgrqi_step(
     coeffs = coeffs or PencilCoefficients()
     a = np.asarray(a)
     b = np.asarray(b)
-    n = pair.n
+    n = pair.right.n
     _check_operands(n, a, b)
     a_hat, b_hat = coeffs.transform(a, b)
     sv_b = np.linalg.svd(b_hat, compute_uv=False)

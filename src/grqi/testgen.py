@@ -32,7 +32,6 @@ __all__ = [
     "random_e_skew_hermitian",
     "subspace_at_angle",
     "nearby_subspace",
-    "select_top_modulus",
     "eigenspace_pair_oracle",
     "group_mirror_eigenvalues",
 ]
@@ -185,19 +184,10 @@ def nearby_subspace(
     return subspace_at_angle(v, float(rng.uniform(0.0, delta_max)), rng)
 
 
-def _stable_order(values: np.ndarray, criterion: np.ndarray) -> np.ndarray:
-    """Indices sorting by ``criterion`` descending, ties broken by real
-    then imaginary part so the ordering is reproducible."""
-    return np.lexsort((values.imag, values.real, -criterion))
-
-
-def select_top_modulus(p: int):
-    """Selector choosing the p eigenvalues of largest modulus."""
-
-    def _select(values: np.ndarray) -> np.ndarray:
-        return _stable_order(values, np.abs(values))[:p]
-
-    return _select
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """Indices sorting by modulus descending, ties broken by real then
+    imaginary part so the ordering is reproducible."""
+    return np.lexsort((values.imag, values.real, -np.abs(values)))
 
 
 def group_mirror_eigenvalues(
@@ -218,7 +208,7 @@ def group_mirror_eigenvalues(
     Raises :class:`~grqi.errors.UnpairedEigenvalueError` when an image of
     some eigenvalue has no eigenvalue within ``tol``.
     """
-    order = _stable_order(values, np.abs(values))
+    order = _stable_order(values)
     ranked = values[order]
     images = [ranked, -np.conj(ranked)]
     if conjugate_closed:
@@ -275,23 +265,23 @@ def _checked_eig(c: np.ndarray):
 
 
 def eigenspace_pair_oracle(
-    c: np.ndarray, selector
+    c: np.ndarray, p: int
 ) -> tuple[Subspace, Subspace, np.ndarray]:
-    """Exact left/right eigenspace pair for a selected eigenvalue subset.
-
-    ``selector`` maps the computed eigenvalue array to the index set of the
-    wanted subset.  Returns ``(left, right, spectrum)``.  Raises
-    :class:`~grqi.errors.NearDefectiveError` when the eigenvector matrix is
-    too ill-conditioned to trust, and
-    :class:`~grqi.errors.NotSpectralError` when the selected subset is not
-    separated from the remaining spectrum.
+    """Exact left/right eigenspace pair ``(left, right, spectrum)`` for
+    the p eigenvalues of largest modulus, ties going to the smaller real,
+    then imaginary part.  Raises
+    :class:`~grqi.errors.DimensionMismatchError` unless 1 <= p <= n,
+    :class:`~grqi.errors.NearDefectiveError` when the eigenvector matrix
+    is too ill-conditioned to trust, and
+    :class:`~grqi.errors.NotSpectralError` when the selected subset is
+    not separated from the remaining spectrum.
     """
     c = np.asarray(c)
     values, s = _checked_eig(c)
     n = c.shape[0]
-    idx = np.asarray(selector(values), dtype=int)
-    if idx.size == 0 or idx.size > n:
-        raise NotSpectralError(f"selector returned {idx.size} indices")
+    if not 1 <= p <= n:
+        raise DimensionMismatchError(f"need 1 <= p <= {n}, got p = {p}")
+    idx = _stable_order(values)[:p]
     rest = np.setdiff1d(np.arange(n), idx)
     if rest.size:
         gap = np.abs(values[idx][:, None] - values[rest][None, :]).min()

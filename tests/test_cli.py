@@ -207,15 +207,18 @@ def test_refine_warns_of_unread_left_files(tmp_path, method, structure):
 
 
 def test_refine_malformed_matrix_exits_one(tmp_path):
-    # A malformed matrix or basis, or a missing one, is named once.
+    # A malformed matrix or basis, a missing one or one of an unsupported
+    # format, is named once.
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n")
+    coo = tmp_path / "coo.mtx"
+    coo.write_text("%%MatrixMarket matrix coordinate real general\n2 1 1\n")
     c, y = tmp_path / "c.mtx", tmp_path / "y.mtx"
     write_matrix(c, np.eye(2))
     write_matrix(y, np.eye(2)[:, :1])
     missing = tmp_path / "missing.mtx"
     for matrix, right, culprit in (
-        (bad, y, bad), (c, bad, bad), (c, missing, missing),
+        (bad, y, bad), (c, bad, bad), (c, missing, missing), (c, coo, coo),
     ):
         result = runner.invoke(
             cli,
@@ -228,6 +231,7 @@ def test_refine_malformed_matrix_exits_one(tmp_path):
         )
         assert result.exit_code == 1
         assert result.output.count(culprit.name) == 1, result.output
+    assert "coo.mtx:1: unsupported format 'coordinate'" in result.output
 
 
 def test_refine_one_sided_requires_structure(tmp_path):

@@ -405,6 +405,19 @@ def test_tsgrqi_near_defective_reports_shift_cond():
     assert diag.shift_cond > 1e8
 
 
+def test_tsgrqi_one_column_step_has_unit_shift_cond():
+    rng = trial_rng(SEED + 6)
+    prob = random_diagonalizable(8, 1, rng)
+    pair = SubspacePair(
+        left=subspace_at_angle(prob.oracle_left, 0.01, rng),
+        right=subspace_at_angle(prob.oracle_right, 0.01, rng),
+    )
+    oracle = SubspacePair(left=prob.oracle_left, right=prob.oracle_right)
+    out, diag = tsgrqi_step(prob.matrix, pair)
+    assert diag.shift_cond == 1.0
+    assert pair_error(out, oracle) < pair_error(pair, oracle)
+
+
 # ------------------------------------------------------ newton_chatelin_step
 
 

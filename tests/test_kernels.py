@@ -314,6 +314,17 @@ def test_small_eig_near_scalar_block_gets_identity_basis():
     assert np.array_equal(shifts, np.full(5, 2.0 + 0j))
 
 
+@pytest.mark.parametrize("entry", [0.0, -0.0, 5e-324, 1e-100, 1e100, -1e100])
+def test_small_eig_one_by_one_block_is_its_entry(entry):
+    # A 1x1 block goes through the same solver as every other block; its
+    # shift is the entry bit for bit, its basis [[1]] and its cond 1.0.
+    for value in (entry, complex(entry, -entry)):
+        shifts, eigvecs, cond = small_eig(np.array([[value]]))
+        assert shifts.tobytes() == np.array([value], dtype=complex).tobytes()
+        assert eigvecs.dtype == complex and np.array_equal(eigvecs, [[1.0]])
+        assert cond == 1.0
+
+
 def test_small_eig_diag():
     shifts, _, _ = small_eig(np.diag([1.0, 2.0]))
     assert np.allclose(sorted(shifts.real), [1.0, 2.0])

@@ -81,8 +81,10 @@ def test_coordinate_format_unsupported(tmp_path):
     path.write_text(
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n"
     )
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(UnsupportedFormatError) as exc:
         read_matrix(path)
+    assert exc.value.line == 1
+    assert f"{path}:1: unsupported format" in str(exc.value)
 
 
 def test_pattern_field_unsupported(tmp_path):

@@ -52,6 +52,10 @@ def test_output_digest_covers_the_battery(tmp_path):
     for kind in ("diagonalizable", "hamiltonian", "e-hermitian"):
         assert f"gen/{kind}_s3_t7/matrix.mtx" in names
     assert "gen/e-skew-hermitian_s11_t42/e.mtx" in names
+    # The p = 1 stream, whose steps take 1x1 quotients.
+    assert "gen/diagonalizable_s0_t0_p1/matrix.mtx" in names
+    for run in ("tsgrqi", "newton", "pencil", "generalized", "e-hermitian"):
+        assert f"refine/e-hermitian_s0_t0_p1_{run}.csv:shift_cond" in names
     for stem in ("table1_s11_n300", "hamiltonian_s11_n300",
                  "hamiltonian_s5023667284082138044_n66",
                  "hamiltonian_s11_n300_d0.001"):

@@ -20,7 +20,6 @@ from grqi import (
     random_e_hermitian,
     random_e_skew_hermitian,
     random_hamiltonian,
-    select_top_modulus,
     subspace_at_angle,
     trial_rng,
 )
@@ -214,14 +213,6 @@ def test_nearby_subspace_angles_fill_the_range(seed):
     assert all(0.0 < a < 0.5 for a in angles)
 
 
-# --------------------------------------------------------------- selectors
-
-
-def test_select_top_modulus_basic():
-    idx = select_top_modulus(2)(np.array([1.0, -3.0, 2.0], dtype=complex))
-    assert sorted(idx) == [1, 2]
-
-
 # -------------------------------------------------- mirror eigenvalue groups
 
 
@@ -404,7 +395,7 @@ def test_group_mirror_unpaired_message_names_the_image():
 
 def test_eigenspace_pair_oracle_diagonal_case():
     left, right, spectrum = eigenspace_pair_oracle(
-        np.diag([3.0, 1.0, 2.0]), select_top_modulus(1)
+        np.diag([3.0, 1.0, 2.0]), 1
     )
     e1 = Subspace(np.eye(3)[:, :1])
     assert largest_principal_angle(right, e1) <= 1e-12
@@ -412,17 +403,39 @@ def test_eigenspace_pair_oracle_diagonal_case():
     assert np.allclose(spectrum, [3.0])
 
 
-def test_eigenspace_pair_oracle_roundtrip_with_generator():
+def test_eigenspace_pair_oracle_takes_the_top_modulus():
+    # The p eigenvalues of largest modulus; a modulus tie goes to the
+    # smaller real part.
+    e = np.eye(3)
+    for d, p, top, basis in (
+        ([1.0, -3.0, 2.0], 2, [-3.0, 2.0], e[:, 1:]),
+        ([3.0, -3.0, 1.0], 1, [-3.0], e[:, 1:2]),
+    ):
+        left, right, spectrum = eigenspace_pair_oracle(np.diag(d), p)
+        assert np.array_equal(np.sort(spectrum.real), top)
+        assert largest_principal_angle(right, Subspace(basis)) <= 1e-12
+        assert largest_principal_angle(left, Subspace(basis)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0, 4])
+def test_eigenspace_pair_oracle_rejects_p_outside_one_to_n(p):
+    with pytest.raises(DimensionMismatchError, match="need 1 <= p <= 3"):
+        eigenspace_pair_oracle(np.diag([3.0, 1.0, 2.0]), p)
+
+
+def test_eigenspace_pair_oracle_roundtrip_on_a_built_matrix():
+    # C = S diag(d) S^-1 with S near the identity: the top three
+    # eigenvalues 10, 9, 8 have right basis S[:, :3], left S^-H[:, :3].
     rng = trial_rng(SEED + 11)
-    prob = random_diagonalizable(10, 3, rng)
-
-    def nearest(values):
-        return [int(np.argmin(np.abs(values - t))) for t in prob.spectrum]
-
-    left, right, spectrum = eigenspace_pair_oracle(prob.matrix, nearest)
-    assert largest_principal_angle(right, prob.oracle_right) <= 1e-9
-    assert largest_principal_angle(left, prob.oracle_left) <= 1e-9
-    assert np.allclose(np.sort_complex(spectrum), np.sort_complex(prob.spectrum))
+    g = rng.standard_normal((10, 10))
+    s = np.eye(10) + 0.05 * g / np.linalg.norm(g, 2)
+    d = np.array([10.0, 9.0, 8.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    c = s @ np.diag(d) @ np.linalg.inv(s)
+    left, right, spectrum = eigenspace_pair_oracle(c, 3)
+    assert largest_principal_angle(right, orthonormalize(s[:, :3])) <= 1e-9
+    s_inv_h = np.linalg.inv(s).conj().T
+    assert largest_principal_angle(left, orthonormalize(s_inv_h[:, :3])) <= 1e-9
+    assert np.allclose(np.sort_complex(spectrum), [8.0, 9.0, 10.0])
 
 
 def test_eigenspace_pair_oracle_invariance_residuals():
@@ -431,7 +444,7 @@ def test_eigenspace_pair_oracle_invariance_residuals():
         c = rng.standard_normal((8, 8))
         scale = np.linalg.norm(c, 2)
         try:
-            left, right, _ = eigenspace_pair_oracle(c, select_top_modulus(2))
+            left, right, _ = eigenspace_pair_oracle(c, 2)
         except (NotSpectralError, NearDefectiveError):
             continue
         m = right.basis.conj().T @ (c @ right.basis)
@@ -446,10 +459,10 @@ def test_eigenspace_pair_oracle_invariance_residuals():
 def test_eigenspace_pair_oracle_rejects_split_cluster():
     c = np.diag([1.0, 1.0 + 1e-12, 5.0])
     with pytest.raises(NotSpectralError):
-        eigenspace_pair_oracle(c, select_top_modulus(2))
+        eigenspace_pair_oracle(c, 2)
 
 
 def test_eigenspace_pair_oracle_rejects_near_defective():
     c = np.array([[1.0, 1.0], [0.0, 1.0 + 1e-13]])
     with pytest.raises(NearDefectiveError):
-        eigenspace_pair_oracle(c, select_top_modulus(1))
+        eigenspace_pair_oracle(c, 1)
