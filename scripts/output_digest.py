@@ -8,8 +8,9 @@ the ``diagonalizable`` and ``e-hermitian`` kinds at one stream with
 p = 1, whose steps take 1x1 quotients; ``refine`` of each instance by
 ``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided structure,
 ``pencil`` and ``one-sided --structure generalized`` with the
-e-hermitian instance's E as B, ``grqi`` on that Hermitian E, both
-studies at seed 11 with 300 trials, the 66-trial Hamiltonian run at
+e-hermitian instance's E as B, ``grqi`` on that Hermitian E,
+``pencil`` on a 12x12 pencil with singular B, which takes the rotated
+normalization, both studies at seed 11 with 300 trials, the 66-trial Hamiltonian run at
 seed 5023667284082138044, and the seed-11 Hamiltonian run again from
 start distance 0.001. Outputs go under OUT_DIR (new or empty), with
 ``runs.txt`` holding each command's exit code and output other than
@@ -34,8 +35,10 @@ import csv  # noqa: E402
 import hashlib  # noqa: E402
 import pathlib  # noqa: E402
 
+import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
+from grqi import orthonormalize, subspace_at_angle, write_matrix  # noqa: E402
 from grqi.cli import cli  # noqa: E402
 
 KINDS = ("diagonalizable", "hamiltonian", "e-hermitian", "e-skew-hermitian")
@@ -46,6 +49,33 @@ INSTANCES = (
     ("diagonalizable", 0, 0, 1),
     ("e-hermitian", 0, 0, 1),
 )
+
+
+def singular_b_pencil(d: pathlib.Path) -> list[str]:
+    """Write a 12x12 pencil (A, B) with B of rank 11, its deflating pair
+    for the eigenvalues 1 and 2 and a start 1e-3 away under ``d``; return
+    the ``refine`` arguments naming them."""
+    rng = np.random.default_rng(12)
+    x, z = (
+        np.eye(12) + 0.1 * g / np.linalg.norm(g, 2)
+        for g in rng.standard_normal((2, 12, 12))
+    )
+    z_inv = np.linalg.inv(z)
+    right = orthonormalize(z[:, :2])
+    left = orthonormalize(np.linalg.inv(x).conj().T[:, :2])
+    arrays = {
+        "matrix": x @ np.diag(np.arange(1.0, 13.0)) @ z_inv,
+        "b-matrix": x @ np.diag([1.0] * 11 + [0.0]) @ z_inv,
+        "oracle-right": right.basis, "oracle-left": left.basis,
+        "right": subspace_at_angle(right, 1e-3, rng).basis,
+        "left": subspace_at_angle(left, 1e-3, rng).basis,
+    }
+    d.mkdir(parents=True)
+    args = []
+    for flag, value in arrays.items():
+        write_matrix(d / f"{flag}.mtx", value)
+        args += [f"--{flag}", str(d / f"{flag}.mtx")]
+    return args
 
 
 def battery(out: pathlib.Path):
@@ -90,6 +120,11 @@ def battery(out: pathlib.Path):
                 "--right", str(d / "start_right.mtx"), "--method", "grqi",
                 "--out", str(out / "refine" / f"{name}_grqi-e.csv"),
             ]
+    yield "refine singular_b pencil", [
+        "refine", *singular_b_pencil(out / "gen" / "singular_b"),
+        "--method", "pencil",
+        "--out", str(out / "refine" / "singular_b_pencil.csv"),
+    ]
     studies = (
         ("table1", "11", "300", None),
         ("hamiltonian", "11", "300", None),

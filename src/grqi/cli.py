@@ -44,7 +44,6 @@ from .kernels import Subspace, orthonormalize, residual_angle
 from .mmio import read_matrix, write_matrix
 from .structured import (
     STRUCTURES,
-    PencilPair,
     apply_j,
     check_structure,
     choose_pencil_normalization,
@@ -71,47 +70,47 @@ def _check_out(*paths):
                         f"existing directory")
 
 
-def _pencil_step(c, b, e):
-    """The pencil step under the normalization chosen once for (C, B), so
-    a singular B runs too."""
-    coeffs = choose_pencil_normalization(c, b)
-    return partial(pencil_tsgrqi_step, c, b, coeffs=coeffs)
-
-
-# (--method, --structure or None) -> (state type, builder of the step
-# state -> (state, diagnostics) from (C, B, E), whether the step takes B
-# and the residual is taken under the pencil (C, B) rather than C alone).
-# E is J (``apply_j``) for a claim that reads no operand.  Builders look
-# the steps up by name when ``refine`` calls them, so wrappers installed
-# on this module's bindings see every call.
+# (--method, --structure or None) -> (whether the state is a pair,
+# builder of the step state -> (state, diagnostics) from (C, B, E),
+# whether the step takes B and the residual is taken under the pencil
+# (C, B) rather than C alone).  E is J (``apply_j``) for a claim that
+# reads no operand; the pencil is normalized once, so a singular B runs.
+# Builders look the steps up by name when ``refine`` calls them, so
+# wrappers installed on this module's bindings see every call.
 _ONE_SIDED = (
-    Subspace,
+    False,
     lambda c, b, e: partial(one_sided_step, c, e, full_output=True),
     False,
 )
 _METHODS = {
     ("tsgrqi", None): (
-        SubspacePair, lambda c, b, e: partial(tsgrqi_step, c), False,
+        True, lambda c, b, e: partial(tsgrqi_step, c), False,
     ),
     ("grqi", None): (
-        Subspace,
+        False,
         lambda c, b, e: partial(grqi_step, c, full_output=True),
         False,
     ),
     ("newton", None): (
-        Subspace,
+        False,
         lambda c, b, e: partial(newton_chatelin_step, c, full_output=True),
         False,
     ),
     **{("one-sided", s): _ONE_SIDED for s in STRUCTURES if s != "generalized"},
     ("one-sided", "generalized"): (
-        Subspace,
+        False,
         lambda c, b, e: partial(
             generalized_hermitian_step, c, b, full_output=True
         ),
         True,
     ),
-    ("pencil", None): (PencilPair, _pencil_step, True),
+    ("pencil", None): (
+        True,
+        lambda c, b, e: partial(
+            pencil_tsgrqi_step, *choose_pencil_normalization(c, b)
+        ),
+        True,
+    ),
 }
 
 
@@ -138,10 +137,6 @@ def _load_subspace(path: str, n: int, p: int | None = None) -> Subspace:
     if y.basis.shape != shape:
         _fail_usage(f"{path}: basis is {y.basis.shape}, expected {shape}")
     return y
-
-
-def _state(state_type, left: Subspace, right: Subspace):
-    return right if state_type is Subspace else state_type(left, right)
 
 
 @click.group()
@@ -183,10 +178,9 @@ def refine(
     entry = _METHODS.get((method, None)) or _METHODS.get((method, structure))
     if entry is None:
         _fail_usage(f"--method {method} needs a --structure")
-    state_type, build_step, pencil = entry
+    paired, build_step, pencil = entry
     if pencil and not b_matrix:
         _fail_usage(f"--method {method} needs --b-matrix")
-    paired = state_type is not Subspace
     read_b, read_e = needs == "b" or pencil, needs == "e"
     for flag, path, read in (
         ("e-matrix", e_matrix, read_e),
@@ -224,9 +218,9 @@ def refine(
     if oracle_right:
         o_left = _load_subspace(oracle_left, n, yr.p) if paired else None
         o_right = _load_subspace(oracle_right, n, yr.p)
-        oracle = _state(state_type, o_left, o_right)
+        oracle = SubspacePair(o_left, o_right) if paired else o_right
     try:
-        state = _state(state_type, yl, yr)
+        state = SubspacePair(yl, yr) if paired else yr
     except GrqiError as exc:
         _fail_usage(str(exc))
 

@@ -71,18 +71,11 @@ class MissingOracleError(GrqiError):
 
 
 class ParseError(GrqiError):
-    """A matrix file could not be parsed.
+    """A matrix or trace file could not be parsed at 1-based line
+    ``line`` of ``path``; the message reads ``path:line: message``."""
 
-    Carries the 1-based line number where parsing failed.
-    """
-
-    def __init__(self, message, path=None, line=None):
-        loc = ""
-        if path is not None:
-            loc += str(path)
-        if line is not None:
-            loc += f":{line}"
-        super().__init__(f"{loc}: {message}" if loc else message)
+    def __init__(self, message, path, line):
+        super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
 

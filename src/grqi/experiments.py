@@ -322,8 +322,9 @@ def _study_chunk(args) -> list[tuple[IterationTrace, int]]:
             )
         except GrqiError as exc:
             # One all-NaN iterate keeps the failed trial in the trace file.
-            trace = IterationTrace([IterationRecord(index=0)])
-            _end_failed([trace], [0], [exc])
+            trace = IterationTrace(
+                [IterationRecord(index=0)], FAILURE, _failure_text(exc)
+            )
             results[trial] = trace, 0
             continue
         arrays = (c,) + tuple(

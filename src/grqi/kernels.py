@@ -181,13 +181,6 @@ def complement_basis(v: Subspace) -> np.ndarray:
     return q[:, v.p:]
 
 
-def _check_same_shape(u: Subspace, v: Subspace) -> None:
-    if u.n != v.n or u.p != v.p:
-        raise DimensionMismatchError(
-            f"subspaces have mismatched shapes {u.n}x{u.p} vs {v.n}x{v.p}"
-        )
-
-
 def _principal_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Largest principal angle between span(u[t]) and span(v[t]) for every
     pair of orthonormal bases of two equal-shape stacks."""
@@ -211,7 +204,10 @@ def largest_principal_angle(u: Subspace, v: Subspace) -> float:
     (largest singular value of the part of one basis orthogonal to the
     other), which is accurate down to the underflow threshold.
     """
-    _check_same_shape(u, v)
+    if u.n != v.n or u.p != v.p:
+        raise DimensionMismatchError(
+            f"subspaces have mismatched shapes {u.n}x{u.p} vs {v.n}x{v.p}"
+        )
     return float(_principal_angles(u.basis[None], v.basis[None])[0])
 
 

@@ -71,6 +71,16 @@ def _parse_header(line: str, path: str) -> bool:
     raise UnsupportedFormatError(problem, path=path, line=1)
 
 
+def _plain(parse):
+    """``parse`` refusing, with ValueError, what int() and float() read
+    beyond Matrix Market numbers: PEP 515 underscores, non-ASCII digits."""
+    def strict(token: str):
+        if "_" in token or not token.isascii():
+            raise ValueError(token)
+        return parse(token)
+    return strict
+
+
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a dense Matrix Market array file.
 
@@ -82,7 +92,11 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """
     path = os.fspath(path)
     with open(path) as fh:
-        raw = fh.read().split("\n")
+        whole = fh.read()
+    raw = whole.split("\n")
+    to_int, to_float = int, float
+    if "_" in whole or not whole.isascii():  # a clean file skips the test
+        to_int, to_float = _plain(int), _plain(float)
     if not raw[0].strip():
         raise ParseError("empty file, expected a header", path=path, line=1)
     is_complex = _parse_header(raw[0], path)
@@ -104,7 +118,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                     line=lineno,
                 )
             try:
-                rows, cols = int(tokens[0]), int(tokens[1])
+                rows, cols = to_int(tokens[0]), to_int(tokens[1])
             except ValueError:
                 raise ParseError(
                     f"non-integer size entry {text!r}", path=path, line=lineno
@@ -124,7 +138,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                 line=lineno,
             )
         try:
-            parts = [float(t) for t in tokens]
+            parts = list(map(to_float, tokens))
         except ValueError:
             raise ParseError(
                 f"non-numeric entry {text!r}", path=path, line=lineno

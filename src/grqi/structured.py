@@ -6,13 +6,12 @@ determines the matching left one as E times it.  Tracking only the right
 iterate then halves the work while keeping the cubic local convergence of
 the two-sided iteration; the block symplectic form J = [[0, I], [-I, 0]]
 is the prominent special case.  A generalized variant handles Hermitian
-pencils (A, B) without forming B^{-1} A, and a four-coefficient pencil
-variant extends the two-sided iteration to deflating subspace pairs.
+pencils (A, B) without forming B^{-1} A, and a pencil variant extends
+the two-sided iteration to deflating subspace pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +33,6 @@ from .testgen import _mirror_groups
 
 __all__ = [
     "STRUCTURES",
-    "PencilCoefficients",
     "PencilPair",
     "StructureCheck",
     "TargetGroup",
@@ -66,36 +64,11 @@ STRUCTURES = {
 }
 
 
-@dataclass(frozen=True)
-class PencilCoefficients:
-    """Normalization (alpha, beta, gamma, delta) of a pencil (A, B):
-    the iteration runs on A_hat = gamma B - delta A and
-    B_hat = alpha B - beta A.  Requires alpha*delta - gamma*beta != 0."""
-
-    alpha: complex = 1.0
-    beta: complex = 0.0
-    gamma: complex = 0.0
-    delta: complex = -1.0
-
-    def __post_init__(self):
-        if self.alpha * self.delta - self.gamma * self.beta == 0:
-            raise DegeneratePencilError(
-                "alpha*delta - gamma*beta must be nonzero"
-            )
-
-    def transform(
-        self, a: np.ndarray, b: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            self.gamma * b - self.delta * a,
-            self.alpha * b - self.beta * a,
-        )
-
-
 class PencilPair(SubspacePair):
-    """Right subspace and transformed left subspace tracked by the pencil
-    iteration (the left factor absorbs B_hat^{-H}); ``left`` is the
-    hatted left subspace."""
+    """Right subspace and transformed left subspace tracked by
+    :func:`pencil_tsgrqi_step` on the pencil (A_hat, B_hat) it is given
+    (the left factor absorbs B_hat^{-H}); ``left`` is the hatted left
+    subspace."""
 
     def __init__(self, hatted_left: Subspace, right: Subspace):
         super().__init__(left=hatted_left, right=right)
@@ -285,38 +258,33 @@ def full_eigenspace_targets(
 def pencil_tsgrqi_step(
     a: np.ndarray,
     b: np.ndarray,
-    pair: PencilPair,
-    coeffs: PencilCoefficients | None = None,
+    pair: SubspacePair,
     cfg: StepConfig | None = None,
 ) -> tuple[PencilPair, StepDiagnostics]:
-    """One two-sided step on the pencil (A, B) for deflating subspace
-    pairs.
+    """One two-sided step on the pencil (A, B), taken as passed, for
+    deflating subspace pairs; a singular B needs the normalized pencil
+    of :func:`choose_pencil_normalization`.
 
-    With A_hat, B_hat the normalized combination of the pencil, the right
-    update solves A_hat Z (Yl^H B_hat Yr) - B_hat Z (Yl^H A_hat Yr) =
-    B_hat Yr.  Diagonalizing M = (Yl^H B_hat Yr)^{-1} (Yl^H A_hat Yr) =
-    W diag(rho) W^{-1} decouples it into columns
-    (A_hat - rho_i B_hat) z = B_hat Yr W e_i, and the adjoint system
-    decouples the same way under the conjugated shifts with the left
-    eigenvector factor (Gb W)^{-H}, so one LU of A_hat - rho_i B_hat
-    serves both sides.  For B = I and the default
-    normalization this reduces to the plain two-sided step.  No setting
-    of ``cfg`` applies to it.
+    The right update solves A Z (Yl^H B Yr) - B Z (Yl^H A Yr) = B Yr.
+    Diagonalizing M = (Yl^H B Yr)^{-1} (Yl^H A Yr) = W diag(rho) W^{-1}
+    decouples it into columns (A - rho_i B) z = B Yr W e_i, and the
+    adjoint system decouples the same way under the conjugated shifts
+    with the left eigenvector factor (Gb W)^{-H}, so one LU of
+    A - rho_i B serves both sides.  For B = I this reduces to the plain
+    two-sided step.  No setting of ``cfg`` applies to it.
     """
-    coeffs = coeffs or PencilCoefficients()
     a = np.asarray(a)
     b = np.asarray(b)
     n = pair.right.n
     _check_operands(n, a, b)
-    a_hat, b_hat = coeffs.transform(a, b)
-    sv_b = np.linalg.svd(b_hat, compute_uv=False)
+    sv_b = np.linalg.svd(b, compute_uv=False)
     if sv_b[-1] <= n * np.finfo(float).eps * sv_b[0]:
         raise DegeneratePencilError(
-            "normalized B_hat is numerically singular; pick a different "
-            "(alpha, beta)"
+            "B is numerically singular; normalize the pencil with "
+            "choose_pencil_normalization"
         )
     right, left, diag = _one_step(
-        a_hat, pair.left.basis, pair.right.basis, b=b_hat, two_sided=True,
+        a, pair.left.basis, pair.right.basis, b=b, two_sided=True,
     )
     return PencilPair(hatted_left=left, right=right), diag
 
@@ -324,32 +292,26 @@ def pencil_tsgrqi_step(
 def choose_pencil_normalization(
     a: np.ndarray,
     b: np.ndarray,
-) -> PencilCoefficients:
-    """Pick pencil coefficients with a well-conditioned B_hat.
-
-    The default normalization (B_hat = B) is kept when B is invertible
-    with condition below 1e8; otherwise up to 50 random unit-circle
-    combinations (alpha, beta), drawn from ``np.random.default_rng(0)``,
-    are tried, with (gamma, delta) = (-beta, alpha) to keep the pair
-    nondegenerate.  Raises
-    :class:`~grqi.errors.DegeneratePencilError` when no acceptable
-    combination is found.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pencil (A_hat, B_hat) with the deflating subspaces of (A, B)
+    that the pencil step runs on: ``(a, b)`` themselves when cond(B) is
+    below 1e8, else the rotation (-beta B - alpha A, alpha B - beta A)
+    with (alpha, beta) = (cos t, sin t) for the first of up to 50 angles
+    t drawn from ``np.random.default_rng(0)`` that brings cond(B_hat)
+    below 1e8.  Raises :class:`~grqi.errors.DegeneratePencilError` when
+    none does.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-
-    default = PencilCoefficients()
-    if np.linalg.cond(default.transform(a, b)[1]) < _PENCIL_COND_LIMIT:
-        return default
+    if np.linalg.cond(b) < _PENCIL_COND_LIMIT:
+        return a, b
     rng = np.random.default_rng(0)
     for _ in range(_PENCIL_TRIES):
         t = float(rng.uniform(0.0, 2.0 * np.pi))
         alpha, beta = np.cos(t), np.sin(t)
-        coeffs = PencilCoefficients(
-            alpha=alpha, beta=beta, gamma=-beta, delta=alpha
-        )
-        if np.linalg.cond(coeffs.transform(a, b)[1]) < _PENCIL_COND_LIMIT:
-            return coeffs
+        b_hat = alpha * b - beta * a
+        if np.linalg.cond(b_hat) < _PENCIL_COND_LIMIT:
+            return -beta * b - alpha * a, b_hat
     raise DegeneratePencilError(
         f"no normalization with cond(B_hat) < {_PENCIL_COND_LIMIT:.1e} "
         f"found in {_PENCIL_TRIES} tries"

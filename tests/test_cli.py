@@ -458,8 +458,8 @@ def _in_memory_run(method, structure, files):
         oracle = SubspacePair(
             left=sub["--oracle-left"], right=sub["--oracle-right"]
         )
-        coeffs = choose_pencil_normalization(c, b)
-        step = lambda s: pencil_tsgrqi_step(c, b, s, coeffs, cfg)
+        pencil = choose_pencil_normalization(c, b)
+        step = lambda s: pencil_tsgrqi_step(*pencil, s, cfg)
         residual = lambda s: max(
             residual_angle(c, s.right, b),
             residual_angle(c.conj().T, s.left, b.conj().T),
@@ -507,6 +507,10 @@ def test_refine_path_matches_in_memory_iteration(tmp_path, method, structure):
     )
     assert result.exit_code == 0, result.output
     assert "warning" not in result.output
+    _assert_matches_in_memory_run(out, method, structure, args)
+
+
+def _assert_matches_in_memory_run(out, method, structure, args):
     got = read_traces(out)[0]
     ref = _in_memory_run(method, structure, dict(zip(args[::2], args[1::2])))
     assert got.status == ref.status == "converged"
@@ -731,6 +735,15 @@ def test_refine_pencil_with_singular_b_converges(tmp_path):
     trace = read_traces(out)[0]
     assert trace.status == "converged"
     assert trace.records[-1].err_sum <= 1e-12
+
+
+def test_refine_pencil_with_singular_b_matches_in_memory_iteration(tmp_path):
+    # The rotated normalization path.
+    args, _, _ = _singular_b_pencil(tmp_path)
+    out = tmp_path / "trace.csv"
+    result = invoke(["refine", "--out", str(out)] + args)
+    assert result.exit_code == 0, result.output
+    _assert_matches_in_memory_run(out, "pencil", "none", args[2:])
 
 
 def test_refine_pencil_without_normalization_exits_three(tmp_path):

@@ -157,6 +157,40 @@ def test_comments_and_blank_lines_tolerated(tmp_path):
     assert np.array_equal(b, np.array([[1.5], [2.5]]))
 
 
+_HEADER = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "body,line,message",
+    [
+        ("1 1\n1_0\n", 3, "non-numeric entry '1_0'"),
+        ("1_0 1\n" + "1.0\n" * 10, 2, "non-integer size entry '1_0 1'"),
+        ("1 1\n\u0661.\u0665\n", 3, "non-numeric entry"),
+    ],
+    ids=["underscore-entry", "underscore-size", "arabic-indic-entry"],
+)
+def test_python_only_number_spellings_rejected(tmp_path, body, line, message):
+    # int() and float() read PEP 515 underscores and non-ASCII digits.
+    path = tmp_path / "m.mtx"
+    path.write_text(_HEADER + body, encoding="utf-8")
+    with pytest.raises(ParseError, match=message) as exc:
+        read_matrix(path)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"{path}:{line}: ")
+
+
+def test_comments_may_hold_underscores_and_non_ascii(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(
+        _HEADER + "% writer_name: caf\u00e9\n1 1\n2.5\n", encoding="utf-8"
+    )
+    assert np.array_equal(read_matrix(path), np.array([[2.5]]))
+
+
+def test_parse_error_names_path_and_line():
+    assert str(ParseError("m", "f.mtx", 3)) == "f.mtx:3: m"
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_matrix(tmp_path / "absent.mtx")

@@ -65,7 +65,10 @@ def test_output_digest_covers_the_battery(tmp_path):
     for run in ("tsgrqi", "newton", "grqi", "pencil", "generalized",
                 "e-hermitian"):
         assert f"refine/e-hermitian_s0_t0_{run}.csv:residual_angle" in names
+    # The singular-B pencil, which takes the rotated normalization.
+    assert "refine/singular_b_pencil.csv:residual_angle" in names
     assert "runs.txt" in names
     # Every matrix.mtx is non-Hermitian; grqi steps on the Hermitian E.
     runs = (tmp_path / "out" / "runs.txt").read_text()
     assert re.search(r"^refine \S+ grqi-e: exit 0$", runs, re.MULTILINE)
+    assert "refine singular_b pencil: exit 0\n  status: converged" in runs

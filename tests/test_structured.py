@@ -6,7 +6,6 @@ from grqi import (
     DimensionMismatchError,
     GramSingularError,
     OddDimensionError,
-    PencilCoefficients,
     PencilPair,
     STRUCTURES,
     Subspace,
@@ -481,18 +480,6 @@ def test_pencil_exact_deflating_subspace_fixed():
     assert largest_principal_angle(out.right, e1) <= 1e-10
 
 
-def test_pencil_rejects_degenerate_normalization():
-    a = np.diag([1.0, 2.0])
-    pair = PencilPair(
-        hatted_left=Subspace(np.eye(2)[:, :1]),
-        right=Subspace(np.eye(2)[:, :1]),
-    )
-    with pytest.raises(DegeneratePencilError):
-        pencil_tsgrqi_step(
-            a, np.eye(2), pair, PencilCoefficients(1.0, 2.0, 2.0, 4.0)
-        )
-
-
 def test_pencil_rejects_singular_bhat():
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
@@ -501,7 +488,7 @@ def test_pencil_rejects_singular_bhat():
         right=Subspace(np.eye(2)[:, :1]),
     )
     with pytest.raises(DegeneratePencilError):
-        pencil_tsgrqi_step(a, b, pair)  # default coeffs keep Bhat = B
+        pencil_tsgrqi_step(a, b, pair)  # the step takes B as passed
 
 
 def test_pencil_gram_singular():
@@ -515,23 +502,22 @@ def test_pencil_gram_singular():
 
 
 def test_choose_normalization_prefers_default():
-    coeffs = choose_pencil_normalization(np.diag([1.0, 2.0]), np.eye(2))
-    assert (coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.delta) == (
-        1.0,
-        0.0,
-        0.0,
-        -1.0,
-    )
+    a, b = np.diag([1.0, 2.0]), np.eye(2)
+    a_hat, b_hat = choose_pencil_normalization(a, b)
+    assert a_hat is a and b_hat is b
 
 
 def test_choose_normalization_handles_singular_b():
     a = np.diag([1.0, 2.0])
     b = np.diag([1.0, 0.0])
-    coeffs = choose_pencil_normalization(a, b)
-    det = coeffs.alpha * coeffs.delta - coeffs.gamma * coeffs.beta
-    assert abs(det) > 1e-12
-    bhat = coeffs.alpha * b - coeffs.beta * a
-    assert np.linalg.cond(bhat) < 1e8
+    a_hat, b_hat = choose_pencil_normalization(a, b)
+    assert np.linalg.cond(b_hat) < 1e8
+    # B is 0 and A is 2 in the last diagonal entry, so there
+    # A_hat = -2 alpha and B_hat = -2 beta exactly.
+    alpha, beta = -a_hat[1, 1] / 2.0, -b_hat[1, 1] / 2.0
+    assert alpha**2 + beta**2 == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_array_equal(b_hat, alpha * b - beta * a)
+    np.testing.assert_array_equal(a_hat, -beta * b - alpha * a)
 
 
 def test_choose_normalization_hopeless_pencil():
