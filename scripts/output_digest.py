@@ -24,11 +24,18 @@ and diff the digests:
     PYTHONPATH=TREE_A/src python scripts/output_digest.py OUT_A > a.txt
     PYTHONPATH=TREE_B/src python scripts/output_digest.py OUT_B > b.txt
     diff a.txt b.txt
+
+``--golden DIR`` also writes the digest to ``DIR/output_digest.txt`` and
+:func:`platform` to ``DIR/platform.txt``; ``tests/golden`` holds the
+digest that ``tests/test_scripts.py`` compares on a matching platform:
+
+    PYTHONPATH=src python scripts/output_digest.py --golden tests/golden OUT
 """
 import os
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":  # before numpy loads its BLAS
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
 import csv  # noqa: E402
@@ -142,6 +149,29 @@ def battery(out: pathlib.Path):
         yield label, args + ["--out", f"{stem}.json", "--trace", f"{stem}.csv"]
 
 
+def platform() -> str:
+    """The numpy and scipy builds and the SIMD features that numpy found.
+
+    Output bits may differ where any of these does: OpenBLAS picks its
+    kernels by CPU, without any fault in the program.
+    """
+    import scipy
+
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_dispatch__, __cpu_features__)
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import (
+            __cpu_dispatch__, __cpu_features__)
+    found = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
+
+    def build(module) -> str:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{module.__version__} ({blas['name']} {blas['version']})"
+
+    return f"numpy {build(np)}, scipy {build(scipy)}, SIMD found: {found}"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -163,7 +193,10 @@ def digest_lines(out: pathlib.Path):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out_dir", type=pathlib.Path)
-    out = ap.parse_args().out_dir
+    ap.add_argument("--golden", type=pathlib.Path, metavar="DIR",
+                    help="also write the digest and platform under DIR")
+    opts = ap.parse_args()
+    out = opts.out_dir
     out.mkdir(parents=True, exist_ok=True)
     if any(out.iterdir()):
         ap.error(f"{out} is not empty")
@@ -179,8 +212,12 @@ def main():
         log.append(f"{label}: exit {result.exit_code}")
         log += [f"  {line}" for line in kept]
     (out / "runs.txt").write_text("\n".join(log) + "\n")
-    for line in digest_lines(out):
-        print(line)
+    text = "".join(f"{line}\n" for line in digest_lines(out))
+    print(text, end="")
+    if opts.golden:
+        opts.golden.mkdir(parents=True, exist_ok=True)
+        (opts.golden / "output_digest.txt").write_text(text)
+        (opts.golden / "platform.txt").write_text(platform() + "\n")
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as spla
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import (
     DimensionMismatchError,
@@ -294,6 +292,11 @@ def _is_real(x: np.ndarray) -> bool:
 
 @functools.cache
 def _lu_funcs(dtype: np.dtype):
+    # scipy is imported here and in sylvester_solve, so a process that
+    # never solves (gen, a study meeting no singular system) does not
+    # pay for importing it.
+    from scipy.linalg.lapack import get_lapack_funcs
+
     return get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
 
 
@@ -402,9 +405,11 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"Q is {q.shape}, expected {(a.shape[0], b.shape[0])}"
         )
+    from scipy.linalg import solve_sylvester
+
     scale = np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
     try:
-        x = spla.solve_sylvester(a, -b, q)
+        x = solve_sylvester(a, -b, q)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SpectraOverlapError(
             f"Sylvester solve failed, spectra of A and B likely overlap: "

@@ -4,6 +4,11 @@ Only the dense ``array`` format with ``real`` or ``complex`` field and
 ``general`` symmetry is supported; that is the storage used for matrices,
 subspace bases, and oracle files.  Values are written with 17 significant
 digits so that write followed by read is the identity on float64 data.
+
+A clean file, whose entries follow the size line one to a line with no
+comment or blank line among them, is parsed in one numpy call.  Any
+other file, and every malformed one, is read by the line scan, which
+alone raises :class:`~grqi.errors.ParseError`; both give the same array.
 """
 
 from __future__ import annotations
@@ -81,6 +86,40 @@ def _plain(parse):
     return strict
 
 
+def _bulk(raw: list[str], whole: str, is_complex: bool) -> np.ndarray | None:
+    """The matrix of a file whose lines after the size line ``raw[1]`` are
+    its entries, one per line, parsed in one numpy call; None otherwise.
+
+    numpy converts each str as float() does, so every line is still read
+    as exactly one number (two tokens on a complex line).  A comment or
+    blank line in the body, a count other than rows*cols lines (one
+    trailing empty string aside) or a line that does not convert returns
+    None, and the line scan reads the file and names any fault.
+    """
+    if len(raw) < 2 or whole.find("%", len(raw[0]) + 1) >= 0:
+        return None
+    try:
+        rows, cols = map(int, raw[1].split())
+    except ValueError:
+        return None
+    count = len(raw) - 2 - (raw[-1] == "")
+    if rows < 1 or cols < 1 or count != rows * cols:
+        return None
+    body = raw[2:2 + count]
+    try:
+        if not is_complex:
+            values = np.array(body, dtype=float)
+        else:
+            parts = np.array([line.split() for line in body], dtype=float)
+            if parts.shape != (count, 2):
+                return None
+            # The (re, im) pairs' bytes, as complex(re, im) keeps them.
+            values = parts.view(complex)
+    except ValueError:
+        return None
+    return values.reshape(cols, rows).T
+
+
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     """Read a dense Matrix Market array file.
 
@@ -94,12 +133,13 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     with open(path) as fh:
         whole = fh.read()
     raw = whole.split("\n")
-    to_int, to_float = int, float
-    if "_" in whole or not whole.isascii():  # a clean file skips the test
-        to_int, to_float = _plain(int), _plain(float)
+    plain = "_" not in whole and whole.isascii()
+    to_int, to_float = (int, float) if plain else (_plain(int), _plain(float))
     if not raw[0].strip():
         raise ParseError("empty file, expected a header", path=path, line=1)
     is_complex = _parse_header(raw[0], path)
+    if plain and (bulk := _bulk(raw, whole, is_complex)) is not None:
+        return bulk
 
     shape = None
     values: list[complex] = []

@@ -1053,3 +1053,36 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     one, two = outputs
     assert sorted(one) == sorted(two)
     assert [name for name in sorted(one) if one[name] != two[name]] == []
+
+
+_SCIPY_PROBE = """
+import sys
+from grqi.cli import cli
+
+for args in sys.argv[1:]:
+    try:
+        cli.main(args.split(), standalone_mode=False)
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+    print("scipy.linalg" in sys.modules)
+"""
+
+
+def test_only_solving_commands_import_scipy(tmp_path):
+    """``gen`` and a study do no shifted or Sylvester solve that needs
+    scipy, so neither imports ``scipy.linalg``; ``refine`` does."""
+    commands = [
+        "gen --n 20 --seed 3",
+        "experiment table1 --trials 20 --seed 3",
+        "refine --matrix matrix.mtx --right start_right.mtx "
+        "--left start_left.mtx --out r.csv",
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *commands], cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    flags = [line for line in proc.stdout.splitlines()
+             if line in ("True", "False")]
+    assert flags == ["False", "False", "True"]

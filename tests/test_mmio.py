@@ -1,12 +1,14 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grqi import ParseError, UnsupportedFormatError, read_matrix, write_matrix
+from grqi import mmio
 
 SEED = 6060
 
@@ -212,3 +214,110 @@ def test_roundtrip_property(n, p, complex_valued, seed):
         path = os.path.join(d, "m.mtx")
         write_matrix(path, a)
         assert np.array_equal(read_matrix(path), a)
+
+
+def read_outcome(path):
+    """What ``read_matrix`` gives for ``path``: the array's dtype, shape,
+    memory order and bytes, or the error's class, message and line."""
+    try:
+        a = read_matrix(path)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return a.dtype, a.shape, a.flags.f_contiguous, a.tobytes(order="A")
+
+
+def line_scan_outcome(path):
+    with mock.patch.object(mmio, "_bulk", return_value=None):
+        return read_outcome(path)
+
+
+def test_clean_files_take_the_bulk_parse(tmp_path):
+    path = tmp_path / "m.mtx"
+    for a in (np.eye(3, 2), np.eye(2, 3) * (1 - 2j)):
+        write_matrix(path, a)
+        whole = path.read_text()
+        bulk = mmio._bulk(whole.split("\n"), whole, np.iscomplexobj(a))
+        assert bulk is not None and np.array_equal(bulk, a)
+        assert bulk.dtype == a.dtype and bulk.flags.f_contiguous
+    path.write_text(_HEADER + "2 1\n1.5\n% late comment\n2.5\n")
+    whole = path.read_text()
+    assert mmio._bulk(whole.split("\n"), whole, False) is None
+
+
+def test_complex_special_values_read_bitwise(tmp_path):
+    # Each part is built as complex(re, im) builds it, signbits and NaN
+    # bits included; re + 1j * im would read -0-0j's real part as +0.0
+    # and 1+inf j as nan+inf j.
+    pairs = [("-0.0", "-0.0"), ("-0", "0"), ("1", "inf"), ("inf", "-inf"),
+             ("-inf", "1"), ("nan", "-0.0"), ("-nan", "nan"),
+             ("0", "-nan")]
+    path = tmp_path / "m.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array complex general\n4 2\n"
+        + "".join(f"{re} {im}\n" for re, im in pairs)
+    )
+    expected = np.array(
+        [complex(float(re), float(im)) for re, im in pairs]
+    ).reshape(2, 4).T
+    b = read_matrix(path)
+    assert b.dtype == np.complex128 and b.flags.f_contiguous
+    assert b.tobytes(order="F") == expected.tobytes(order="F")
+    assert read_outcome(path) == line_scan_outcome(path)
+
+
+@st.composite
+def mm_texts(draw):
+    """Matrix Market text of a random real or complex array, sometimes
+    with a layout quirk or a fault that the bulk parse must leave to the
+    line scan."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((rows, cols * (1 + is_complex)))
+    specials = [-0.0, np.inf, -np.inf, np.nan]
+    a.flat[rng.random(a.size) < 0.1] = rng.choice(specials)
+    entries = a.reshape(rows, cols, -1).transpose(1, 0, 2)
+    body = [" ".join(f"{x:.17g}" for x in e) for e in entries.reshape(
+        rows * cols, -1)]
+    at = lambda end=0: draw(st.integers(0, len(body) - 1 + end))  # noqa: E731
+    pad = lambda line: (  # noqa: E731
+        draw(st.sampled_from(["", " ", "\t"])) + line + " ")
+    if draw(st.booleans()):
+        body.insert(at(1), draw(st.sampled_from(["% note", "", "  "])))
+    if draw(st.booleans()):
+        i = at()
+        body[i] = pad(body[i])
+    count = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if count < 0:
+        del body[at()]
+    elif count > 0:
+        body.insert(at(1), body[0])
+    if body and draw(st.booleans()):
+        i = at()
+        tokens = body[i].split() or ["1.0"]
+        body[i] = draw(st.sampled_from([
+            " ".join(tokens + ["2.5"]),
+            " ".join(tokens + ["2.5", "2.5"]),
+            tokens[0],
+            " ".join(["1_0"] + tokens[1:]),
+        ]))
+    field = "complex" if is_complex else "real"
+    size = f"{rows} {cols}"
+    lines = [f"%%MatrixMarket matrix array {field} general",
+             pad(size) if draw(st.booleans()) else size, *body]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    final = draw(st.sampled_from([newline, ""]))
+    return newline.join(lines) + final
+
+
+@settings(max_examples=300, deadline=None)
+@given(mm_texts())
+# Four tokens on each line of a complex file view as two complex values
+# per line; the bulk parse must refuse them by their shape.
+@example("%%MatrixMarket matrix array complex general\n1 1\n1 2 3 4\n")
+def test_bulk_parse_matches_the_line_scan(text):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.mtx")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        assert read_outcome(path) == line_scan_outcome(path)

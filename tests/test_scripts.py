@@ -6,7 +6,12 @@ import re
 import subprocess
 import sys
 
+import pytest
+
+from output_digest import platform
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_script(name, *args):
@@ -43,8 +48,15 @@ def test_order_fit_runs():
         float(line.split(":")[1])
 
 
-def test_output_digest_covers_the_battery(tmp_path):
-    proc = run_script("output_digest.py", str(tmp_path / "out"))
+@pytest.fixture(scope="module")
+def digest(tmp_path_factory):
+    """The digest battery's output directory and process, run once."""
+    out = tmp_path_factory.mktemp("digest") / "out"
+    return out, run_script("output_digest.py", str(out))
+
+
+def test_output_digest_covers_the_battery(digest):
+    out, proc = digest
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
@@ -69,6 +81,26 @@ def test_output_digest_covers_the_battery(tmp_path):
     assert "refine/singular_b_pencil.csv:residual_angle" in names
     assert "runs.txt" in names
     # Every matrix.mtx is non-Hermitian; grqi steps on the Hermitian E.
-    runs = (tmp_path / "out" / "runs.txt").read_text()
+    runs = (out / "runs.txt").read_text()
     assert re.search(r"^refine \S+ grqi-e: exit 0$", runs, re.MULTILINE)
     assert "refine singular_b pencil: exit 0\n  status: converged" in runs
+
+
+def test_output_digest_matches_the_golden(digest):
+    _, proc = digest
+    assert proc.returncode == 0, proc.stderr
+    recorded = (GOLDEN / "platform.txt").read_text().strip()
+    if platform() != recorded:
+        pytest.skip(
+            f"the golden digest was recorded on [{recorded}], this is "
+            f"[{platform()}]; regenerate it with: PYTHONPATH=src python "
+            "scripts/output_digest.py --golden tests/golden OUT_DIR"
+        )
+    golden = dict(
+        line.split() for line in
+        (GOLDEN / "output_digest.txt").read_text().splitlines()
+    )
+    now = dict(line.split() for line in proc.stdout.splitlines())
+    moved = [name for name in sorted(golden.keys() | now.keys())
+             if golden.get(name) != now.get(name)]
+    assert not moved, f"{len(moved)} digest lines moved: {moved}"
