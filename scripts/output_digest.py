@@ -6,17 +6,19 @@ The battery runs through ``grqi.cli`` in-process with one BLAS thread:
 ``gen`` of every kind at three (seed, trial) streams with p = 5, and of
 the ``diagonalizable`` and ``e-hermitian`` kinds at one stream with
 p = 1, whose steps take 1x1 quotients; ``refine`` of each instance by
-``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided structure,
-``pencil`` and ``one-sided --structure generalized`` with the
-e-hermitian instance's E as B, ``grqi`` on that Hermitian E,
-``pencil`` on a 12x12 pencil with singular B, which takes the rotated
-normalization, both studies at seed 11 with 300 trials, the 66-trial Hamiltonian run at
-seed 5023667284082138044, and the seed-11 Hamiltonian run again from
-start distance 0.001. Outputs go under OUT_DIR (new or empty), with
-``runs.txt`` holding each command's exit code and output other than
-paths and wall times. One line ``<file> <sha256>`` is printed per file,
-and one line ``<file>:<column> <sha256>`` per column of a trace CSV, so
-a ``diff`` of two trees' digests names the files and columns that moved.
+``tsgrqi``, ``newton``, ``grqi`` and its kind's one-sided structure;
+for the e-hermitian instances (C, E), ``pencil`` on (C, E),
+``one-sided --structure generalized`` on the Hermitian pencil
+((E C + (E C)^H)/2, E), whose A goes to a temporary directory, and
+``grqi`` on the Hermitian E; ``pencil`` on a 12x12 pencil with singular
+B, which takes the rotated normalization; both studies at seed 11 with
+300 trials, the 66-trial Hamiltonian run at seed 5023667284082138044,
+and the seed-11 Hamiltonian run again from start distance 0.001.
+Outputs go under OUT_DIR (new or empty), with ``runs.txt`` holding each
+command's exit code and output other than paths and wall times. One
+line ``<file> <sha256>`` is printed per file, and one line
+``<file>:<column> <sha256>`` per column of a trace CSV, so a ``diff`` of
+two trees' digests names the files and columns that moved.
 
 To compare two source trees, run the same copy of this script on each
 and diff the digests:
@@ -41,11 +43,13 @@ import argparse  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import pathlib  # noqa: E402
+import tempfile  # noqa: E402
 
 import numpy as np  # noqa: E402
 from click.testing import CliRunner  # noqa: E402
 
-from grqi import orthonormalize, subspace_at_angle, write_matrix  # noqa: E402
+from grqi import (  # noqa: E402
+    orthonormalize, read_matrix, subspace_at_angle, write_matrix)
 from grqi.cli import cli  # noqa: E402
 
 KINDS = ("diagonalizable", "hamiltonian", "e-hermitian", "e-skew-hermitian")
@@ -85,8 +89,19 @@ def singular_b_pencil(d: pathlib.Path) -> list[str]:
     return args
 
 
-def battery(out: pathlib.Path):
-    """Yield (label, grqi arguments) for every command of the battery."""
+def hermitian_pencil(d: pathlib.Path, a_path: pathlib.Path) -> list[str]:
+    """Write A = (E C + (E C)^H)/2 of the E-Hermitian instance under ``d``
+    to ``a_path``; return the ``refine`` arguments of the pencil (A, E),
+    whose deflating subspaces are the eigenspaces of C = E^{-1} (E C)."""
+    e = read_matrix(d / "e.mtx")
+    a = e @ read_matrix(d / "matrix.mtx")
+    write_matrix(a_path, (a + a.conj().T) / 2.0)
+    return ["--matrix", str(a_path), "--b-matrix", str(d / "e.mtx")]
+
+
+def battery(out: pathlib.Path, scratch: pathlib.Path):
+    """Yield (label, grqi arguments) for every command of the battery;
+    inputs that are not outputs go under ``scratch``."""
     for kind, seed, trial, p in INSTANCES:
         name = f"{kind}_s{seed}_t{trial}" + ("" if p == 5 else f"_p{p}")
         d = out / "gen" / name
@@ -94,29 +109,30 @@ def battery(out: pathlib.Path):
             "gen", "--kind", kind, "--n", "20", "--p", str(p),
             "--seed", str(seed), "--trial", str(trial), "--out", str(d),
         ]
+        matrix = ["--matrix", str(d / "matrix.mtx")]
         right = ["--right", str(d / "start_right.mtx"),
                  "--oracle-right", str(d / "oracle_right.mtx")]
         left = ["--left", str(d / "start_left.mtx"),
                 "--oracle-left", str(d / "oracle_left.mtx")]
         runs = {
-            "tsgrqi": right + left,
-            "newton": right + ["--method", "newton"],
-            "grqi": right + ["--method", "grqi"],
+            "tsgrqi": matrix + right + left,
+            "newton": matrix + right + ["--method", "newton"],
+            "grqi": matrix + right + ["--method", "grqi"],
         }
         if kind != "diagonalizable":
-            runs[kind] = right + [
+            runs[kind] = matrix + right + [
                 "--method", "one-sided", "--structure", kind,
             ] + (["--e-matrix", str(d / "e.mtx")] if kind != "hamiltonian"
                  else [])
         if kind == "e-hermitian":
             b = ["--b-matrix", str(d / "e.mtx")]
-            runs["pencil"] = right + left + b + ["--method", "pencil"]
-            runs["generalized"] = right + b + [
-                "--method", "one-sided", "--structure", "generalized",
-            ]
+            runs["pencil"] = matrix + right + left + b + ["--method", "pencil"]
+            runs["generalized"] = hermitian_pencil(
+                d, scratch / f"{name}_a.mtx"
+            ) + right + ["--method", "one-sided", "--structure", "generalized"]
         for method, args in runs.items():
             yield f"refine {name} {method}", [
-                "refine", "--matrix", str(d / "matrix.mtx"), *args,
+                "refine", *args,
                 "--out", str(out / "refine" / f"{name}_{method}.csv"),
             ]
         if kind == "e-hermitian":
@@ -205,12 +221,13 @@ def main():
 
     runner = CliRunner()
     log = []
-    for label, args in battery(out):
-        result = runner.invoke(cli, args)
-        kept = [line for line in result.output.splitlines()
-                if not line.startswith(("wrote ", "wall time: "))]
-        log.append(f"{label}: exit {result.exit_code}")
-        log += [f"  {line}" for line in kept]
+    with tempfile.TemporaryDirectory() as scratch:
+        for label, args in battery(out, pathlib.Path(scratch)):
+            result = runner.invoke(cli, args)
+            kept = [line for line in result.output.splitlines()
+                    if not line.startswith(("wrote ", "wall time: "))]
+            log.append(f"{label}: exit {result.exit_code}")
+            log += [f"  {line}" for line in kept]
     (out / "runs.txt").write_text("\n".join(log) + "\n")
     text = "".join(f"{line}\n" for line in digest_lines(out))
     print(text, end="")

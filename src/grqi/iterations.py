@@ -26,6 +26,7 @@ from .kernels import (
     _adjoint,
     _extremes,
     _first_failures,
+    _norm_rule,
     _orthonormal_stack,
     _raise_first,
     _small_eig_stack,
@@ -141,24 +142,13 @@ class IterationTrace:
 
 
 def _check_hermitian(a: np.ndarray) -> None:
-    """Raise when ||A - A^H||_2 > 1e-12 max(1, ||A||_2).
-
-    As ||X||_2 <= ||X||_F <= sqrt(n) ||X||_2, Frobenius norms settle the
-    rule in O(n^2); spectral norms are computed only in the band between.
-    """
-    d = a - a.conj().T
-    root_n = np.sqrt(a.shape[0])
-    d_f, a_f = np.linalg.norm(d), np.linalg.norm(a)
-    if d_f <= _HERM_RTOL * max(1.0, a_f / root_n):
-        return
-    defect = d_f / root_n
-    if defect <= _HERM_RTOL * max(1.0, a_f):
-        defect = np.linalg.norm(d, 2)
-        if defect <= _HERM_RTOL * max(1.0, np.linalg.norm(a, 2)):
-            return
-    raise NotHermitianError(
-        f"matrix is not Hermitian: ||A - A^H|| >= {defect:.3e}"
-    )
+    """Raise unless ||A - A^H||_2 <= 1e-12 max(1, ||A||_2)."""
+    bound = lambda norm_a: _HERM_RTOL * max(1.0, norm_a)
+    ok, defect = _norm_rule([a - a.conj().T], bound, a)
+    if not ok:
+        raise NotHermitianError(
+            f"matrix is not Hermitian: ||A - A^H|| >= {defect:.3e}"
+        )
 
 
 def _check_operands(n: int, a: np.ndarray, b: np.ndarray | None = None):

@@ -91,6 +91,23 @@ def _extremes(sv: np.ndarray):
     return zip(sv[:, 0].tolist(), sv[:, -1].tolist())
 
 
+def _norm_rule(defects, bound, *mats):
+    """Decide max ||D||_2 <= bound(||M||_2 for M in mats) over ``defects``,
+    ``bound`` nondecreasing in each norm, by the brackets ||X||_F /
+    sqrt(min(shape)) <= ||X||_2 <= ||X||_F, and by 2-norms where they
+    straddle it.  Returns ``(ok, defect)``: the largest ||D||_2 if the
+    rule fails, an upper bound of it if the rule holds."""
+    d_f = max(float(np.linalg.norm(d)) for d in defects)
+    m_f = [float(np.linalg.norm(m)) for m in mats]
+    if d_f <= bound(*(f / math.sqrt(min(m.shape))
+                      for f, m in zip(m_f, mats))):
+        return True, d_f
+    d_2 = max(float(np.linalg.norm(d, 2)) for d in defects)
+    if d_2 > bound(*m_f):
+        return False, d_2
+    return d_2 <= bound(*(float(np.linalg.norm(m, 2)) for m in mats)), d_2
+
+
 def _check_orthonormal(b: np.ndarray) -> None:
     """The basis rule of :class:`Subspace` on every n-by-p matrix of the
     stack ``b``: finite entries and ||B^H B - I||_2 <= 1e-12 sqrt(p).
@@ -391,7 +408,8 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     disjoint.  Rather than gating on an eigenvalue gap up front (which
     would also refuse singular-but-consistent systems), the computed
     solution is verified against the residual bound
-    1e-9 * (||A|| + ||B||) * max(1, ||X||); failures raise
+    min(1e-9 (||A|| + ||B||) max(1, ||X||), 1e-5 max(1, ||Q||)) in 2-norms,
+    which Frobenius brackets decide where they can; failures raise
     :class:`~grqi.errors.SpectraOverlapError`.
     """
     a = np.asarray(a)
@@ -407,7 +425,6 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
         )
     from scipy.linalg import solve_sylvester
 
-    scale = np.linalg.norm(a, 2) + np.linalg.norm(b, 2)
     try:
         x = solve_sylvester(a, -b, q)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -415,23 +432,22 @@ def sylvester_solve(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
             f"Sylvester solve failed, spectra of A and B likely overlap: "
             f"{exc}"
         ) from None
+    # The ||X||-scaled bound alone would accept the huge junk solutions
+    # the triangular solver emits for inconsistent singular systems, so
+    # the residual must also be small on the scale of Q itself.
+    bound = lambda norm_a, norm_b, norm_x, norm_q: min(
+        1e-9 * (norm_a + norm_b) * max(1.0, norm_x), 1e-5 * max(1.0, norm_q)
+    )
+    ok, residual, limit = False, np.inf, 0.0
     if np.all(np.isfinite(x)):
-        residual = np.linalg.norm(a @ x - x @ b - q, 2)
-        # The ||X||-scaled bound alone would accept the huge junk solutions
-        # the triangular solver emits for inconsistent singular systems, so
-        # the residual must also be small on the scale of Q itself.
-        bound = min(
-            1e-9 * scale * max(1.0, np.linalg.norm(x, 2)),
-            1e-5 * max(1.0, np.linalg.norm(q, 2)),
-        )
-    else:
-        residual, bound = np.inf, 0.0
-    if residual > bound:
-        ea = np.linalg.eigvals(a)
-        eb = np.linalg.eigvals(b)
+        ok, residual = _norm_rule([a @ x - x @ b - q], bound, a, b, x, q)
+        if not ok:
+            limit = bound(*(np.linalg.norm(m, 2) for m in (a, b, x, q)))
+    if not ok:
+        ea, eb = np.linalg.eigvals(a), np.linalg.eigvals(b)
         gap = np.abs(ea[:, None] - eb[None, :]).min()
         raise SpectraOverlapError(
-            f"Sylvester residual {residual:.3e} exceeds bound {bound:.3e} "
+            f"Sylvester residual {residual:.3e} exceeds bound {limit:.3e} "
             f"(spectra of A and B are separated by only {gap:.3e})"
         )
     return x

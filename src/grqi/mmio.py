@@ -76,14 +76,12 @@ def _parse_header(line: str, path: str) -> bool:
     raise UnsupportedFormatError(problem, path=path, line=1)
 
 
-def _plain(parse):
-    """``parse`` refusing, with ValueError, what int() and float() read
-    beyond Matrix Market numbers: PEP 515 underscores, non-ASCII digits."""
-    def strict(token: str):
-        if "_" in token or not token.isascii():
-            raise ValueError(token)
-        return parse(token)
-    return strict
+def _plain(parse, token: str):
+    """``parse(token)``, refusing with ValueError the PEP 515 underscores
+    and non-ASCII digits that int() and float() read."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return parse(token)
 
 
 def _bulk(raw: list[str], whole: str, is_complex: bool) -> np.ndarray | None:
@@ -91,12 +89,13 @@ def _bulk(raw: list[str], whole: str, is_complex: bool) -> np.ndarray | None:
     its entries, one per line, parsed in one numpy call; None otherwise.
 
     numpy converts each str as float() does, so every line is still read
-    as exactly one number (two tokens on a complex line).  A comment or
-    blank line in the body, a count other than rows*cols lines (one
-    trailing empty string aside) or a line that does not convert returns
-    None, and the line scan reads the file and names any fault.
+    as exactly one number (two tokens on a complex line).  A file with a
+    ``_`` or non-ASCII character, or a comment or blank line in its body,
+    a count other than rows*cols lines (one trailing empty string aside)
+    or a line that does not convert gives None: the line scan reads it.
     """
-    if len(raw) < 2 or whole.find("%", len(raw[0]) + 1) >= 0:
+    if ("_" in whole or not whole.isascii() or len(raw) < 2
+            or whole.find("%", len(raw[0]) + 1) >= 0):
         return None
     try:
         rows, cols = map(int, raw[1].split())
@@ -133,12 +132,10 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
     with open(path) as fh:
         whole = fh.read()
     raw = whole.split("\n")
-    plain = "_" not in whole and whole.isascii()
-    to_int, to_float = (int, float) if plain else (_plain(int), _plain(float))
     if not raw[0].strip():
         raise ParseError("empty file, expected a header", path=path, line=1)
     is_complex = _parse_header(raw[0], path)
-    if plain and (bulk := _bulk(raw, whole, is_complex)) is not None:
+    if (bulk := _bulk(raw, whole, is_complex)) is not None:
         return bulk
 
     shape = None
@@ -158,7 +155,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                     line=lineno,
                 )
             try:
-                rows, cols = to_int(tokens[0]), to_int(tokens[1])
+                rows, cols = (_plain(int, t) for t in tokens)
             except ValueError:
                 raise ParseError(
                     f"non-integer size entry {text!r}", path=path, line=lineno
@@ -178,7 +175,7 @@ def read_matrix(path: str | os.PathLike) -> np.ndarray:
                 line=lineno,
             )
         try:
-            parts = list(map(to_float, tokens))
+            parts = [_plain(float, t) for t in tokens]
         except ValueError:
             raise ParseError(
                 f"non-numeric entry {text!r}", path=path, line=lineno

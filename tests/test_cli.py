@@ -140,6 +140,27 @@ def test_refine_nonstrict_structure_warns_and_runs(tmp_path):
     assert "warning" in result.output
 
 
+def test_refine_generalized_on_a_non_hermitian_pencil_fails_its_first_step(
+    tmp_path,
+):
+    # Without --strict the failed claim only warns; the step then refuses.
+    write_matrix(tmp_path / "c.mtx", trial_rng(3).standard_normal((4, 4)))
+    write_matrix(tmp_path / "b.mtx", np.eye(4))
+    write_matrix(tmp_path / "y.mtx", np.eye(4)[:, :2])
+    result = invoke([
+        "refine", "--matrix", str(tmp_path / "c.mtx"),
+        "--b-matrix", str(tmp_path / "b.mtx"),
+        "--right", str(tmp_path / "y.mtx"),
+        "--method", "one-sided", "--structure", "generalized",
+        "--out", str(tmp_path / "t.csv"),
+    ])
+    assert result.exit_code == 3
+    assert "warning: structure check failed for generalized" in result.output
+    assert "status: failure after 0 step(s)" in result.output
+    assert "NotHermitianError: matrix is not Hermitian" in result.output
+    assert read_traces(tmp_path / "t.csv")[0].iterates == 1
+
+
 @pytest.mark.parametrize(
     "run,flag",
     [
