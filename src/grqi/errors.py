@@ -14,6 +14,10 @@ class DimensionMismatchError(GrqiError):
     """Operands have incompatible shapes."""
 
 
+class NonfiniteOperandError(GrqiError):
+    """An operand has NaN or infinite entries; the message names it."""
+
+
 class RankDeficientError(GrqiError):
     """A matrix that must have full column rank does not."""
 

@@ -24,6 +24,7 @@ from .errors import (
 from .kernels import (
     Subspace,
     _adjoint,
+    _check_finite,
     _extremes,
     _first_failures,
     _norm_rule,
@@ -152,13 +153,17 @@ def _check_hermitian(a: np.ndarray) -> None:
 
 
 def _check_operands(n: int, a: np.ndarray, b: np.ndarray | None = None):
-    """Raise unless the step operands ``a`` and ``b`` (if any) are n by n."""
+    """Raise unless the step operands ``a`` and ``b`` (if any) are n by n
+    and finite."""
     if b is not None and (a.shape != (n, n) or b.shape != (n, n)):
         raise DimensionMismatchError(
             f"matrices are {a.shape} and {b.shape}, expected {(n, n)}"
         )
     if a.shape != (n, n):
         raise DimensionMismatchError(f"matrix is {a.shape}, expected {(n, n)}")
+    _check_finite("matrix" if b is None else "A", a)
+    if b is not None:
+        _check_finite("B", b)
 
 
 def _stacked_solves(a, shifts, sides, z) -> list:
@@ -297,12 +302,10 @@ def _rayleigh_step(a, yl, yr, *, b=None, e=None, two_sided=False):
 
 
 def _one_step(a, yl, yr, *, b=None, **kwargs):
-    """:func:`_rayleigh_step` on one problem, after checking the shapes of
-    ``a`` and ``b``: raise its failure, else return
-    ``(right, left or None, StepDiagnostics)`` as subspaces."""
-    a = np.asarray(a)
-    b = None if b is None else np.asarray(b)
-    _check_operands(yr.shape[0], a, b)
+    """:func:`_rayleigh_step` on one problem whose arrays ``a`` and ``b``
+    the caller has checked with :func:`_check_operands`: raise its
+    failure, else return ``(right, left or None, StepDiagnostics)`` as
+    subspaces."""
     right, left, perturbed, cond, failures = _rayleigh_step(
         a, yl[None], yr[None], b=b, **kwargs
     )
@@ -359,6 +362,8 @@ def tsgrqi_step(
     that hit the spectrum are retried with a perturbed shift; both
     updates are orthonormalized.  No setting of ``cfg`` applies to it.
     """
+    c = np.asarray(c)
+    _check_operands(pair.right.n, c)
     right, left, diag = _one_step(
         c, pair.left.basis, pair.right.basis, two_sided=True
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    NonfiniteOperandError,
     RankDeficientError,
     SingularPencilShiftError,
     SolveFailedError,
@@ -106,6 +107,41 @@ def _norm_rule(defects, bound, *mats):
     if d_2 > bound(*m_f):
         return False, d_2
     return d_2 <= bound(*(float(np.linalg.norm(m, 2)) for m in mats)), d_2
+
+
+def _cond_rule(b, limit, exact):
+    """Decide kappa_2(B) < ``limit`` for a square B from one LU inverse X
+    and the brackets kappa_2 <= ||B||_F ||B^-1||_F <= n kappa_2, and by
+    ``exact(b)``, the caller's SVD rule, where they cannot decide.
+
+    An LU-based inverse has ||X - B^-1||_F <= d ||B^-1||_F with d of
+    order n eps kappa_F (Higham 2002, ch. 14), taken here as
+    d = n eps P for P = ||B||_F ||X||_F, and X is trusted while
+    d <= 1/4.  Then 4 P <= limit gives kappa_2 <= P / (1 - d) <= limit/3,
+    and P >= 4 n limit gives kappa_2 >= P / (n (1 + d)) >= 3.2 limit;
+    the factor 3 left covers the SVD's own rounding, which moves sigma_min
+    by a small multiple of n eps sigma_max.  A zero pivot, a nonfinite P
+    or a P between the two goes to ``exact``."""
+    n = b.shape[0]
+    m = np.array(b, dtype=np.result_type(b, np.float64), order="F")
+    getrf, _, getri = _lu_funcs(m.dtype)
+    lu, piv, info = getrf(m, overwrite_a=True)
+    if info == 0:
+        inv, info = getri(lu, piv, lwork=64 * n, overwrite_lu=True)
+        p = float(np.linalg.norm(b)) * float(np.linalg.norm(inv))
+        if info == 0 and n * _U * p <= 0.25:
+            if 4.0 * p <= limit:
+                return True
+            if p >= 4.0 * n * limit:
+                return False
+    return exact(b)
+
+
+def _check_finite(name: str, x) -> None:
+    """Raise :class:`~grqi.errors.NonfiniteOperandError` naming ``name``
+    unless every entry of ``x`` is finite."""
+    if not np.isfinite(x).all():
+        raise NonfiniteOperandError(f"{name} has NaN or infinite entries")
 
 
 def _check_orthonormal(b: np.ndarray) -> None:
@@ -252,10 +288,15 @@ def residual_angle(c: np.ndarray, y: Subspace, b=None) -> float:
     Zero exactly on invariant subspaces of C (deflating subspaces of the
     pencil (C, B)), also those that meet the kernel of C.  Without ``b``
     it is at most the largest principal angle of span(Y) and span(C Y).
+    A NaN or infinite entry of C or B raises
+    :class:`~grqi.errors.NonfiniteOperandError`.
     """
     c = np.asarray(c)
     if c.shape != (y.n, y.n) or b is not None and np.shape(b) != c.shape:
         raise DimensionMismatchError(f"matrices must be {y.n}x{y.n}")
+    _check_finite("C", c)
+    if b is not None:
+        _check_finite("B", b)
     return float(_residual_angles(c, y.basis[None], b)[0])
 
 
@@ -314,7 +355,7 @@ def _lu_funcs(dtype: np.dtype):
     # pay for importing it.
     from scipy.linalg.lapack import get_lapack_funcs
 
-    return get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+    return get_lapack_funcs(("getrf", "getrs", "getri"), dtype=dtype)
 
 
 def _lu_solves(mats, rho, rhs) -> list:
@@ -328,7 +369,7 @@ def _lu_solves(mats, rho, rhs) -> list:
         m.reshape(-1, order="F")[:: m.shape[0] + 1] -= rho
     else:
         m -= rho * mats[1]
-    getrf, getrs = _lu_funcs(dtype)
+    getrf, getrs, _ = _lu_funcs(dtype)
     lu, piv, info = getrf(m, overwrite_a=True)
     adjoint = 2 if dtype == np.complex128 else 1
     out = [None] * len(rhs)

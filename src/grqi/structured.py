@@ -30,7 +30,13 @@ from .iterations import (
     _check_operands,
     _one_step,
 )
-from .kernels import Subspace, _norm_rule, orthonormalize
+from .kernels import (
+    Subspace,
+    _check_finite,
+    _cond_rule,
+    _norm_rule,
+    orthonormalize,
+)
 from .testgen import _mirror_groups
 
 __all__ = [
@@ -174,6 +180,10 @@ def one_sided_step(
     be solved.  ``e`` may be a dense matrix or a callable applying it.  No
     setting of ``cfg`` applies to it.
     """
+    c = np.asarray(c)
+    _check_operands(y.n, c)
+    if not callable(e):
+        _check_finite("E", e)
     out, _, diag = _one_step(c, y.basis, y.basis, e=_as_operator(e))
     return (out, diag) if full_output else out
 
@@ -276,13 +286,23 @@ def pencil_tsgrqi_step(
     with the left eigenvector factor (Gb W)^{-H}, so one LU of
     A - rho_i B serves both sides.  For B = I this reduces to the plain
     two-sided step.  No setting of ``cfg`` applies to it.
+
+    B is refused with :class:`~grqi.errors.DegeneratePencilError` when
+    sigma_min(B) <= n eps sigma_max(B), that is kappa_2(B) >= 1/(n eps).
+    The decision is that SVD rule's, but it is taken from the brackets
+    kappa_2(B) <= ||B||_F ||B^-1||_F <= n kappa_2(B) on one LU inverse
+    of B, and the SVD is computed only where they cannot decide.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     n = pair.right.n
     _check_operands(n, a, b)
-    sv_b = np.linalg.svd(b, compute_uv=False)
-    if sv_b[-1] <= n * np.finfo(float).eps * sv_b[0]:
+
+    def svd_rule(m):
+        sv = np.linalg.svd(m, compute_uv=False)
+        return not sv[-1] <= n * np.finfo(float).eps * sv[0]
+
+    if not _cond_rule(b, 1.0 / (n * np.finfo(float).eps), svd_rule):
         raise DegeneratePencilError(
             "B is numerically singular; normalize the pencil with "
             "choose_pencil_normalization"
@@ -303,18 +323,30 @@ def choose_pencil_normalization(
     with (alpha, beta) = (cos t, sin t) for the first of up to 50 angles
     t drawn from ``np.random.default_rng(0)`` that brings cond(B_hat)
     below 1e8.  Raises :class:`~grqi.errors.DegeneratePencilError` when
-    none does.
+    none does, :class:`~grqi.errors.DimensionMismatchError` unless A and
+    B are square of one shape, and
+    :class:`~grqi.errors.NonfiniteOperandError` for a NaN or infinite
+    entry of either.
+
+    Each decision is that of ``np.linalg.cond(B_hat) < 1e8``, but it is
+    taken from the brackets of :func:`pencil_tsgrqi_step` on one LU
+    inverse, and the SVD is computed only where they cannot decide.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if np.linalg.cond(b) < _PENCIL_COND_LIMIT:
+    _check_operands(len(b), a, b)
+    limit = _PENCIL_COND_LIMIT
+    well_conditioned = lambda m: _cond_rule(
+        m, limit, lambda x: np.linalg.cond(x) < limit
+    )
+    if well_conditioned(b):
         return a, b
     rng = np.random.default_rng(0)
     for _ in range(_PENCIL_TRIES):
         t = float(rng.uniform(0.0, 2.0 * np.pi))
         alpha, beta = np.cos(t), np.sin(t)
         b_hat = alpha * b - beta * a
-        if np.linalg.cond(b_hat) < _PENCIL_COND_LIMIT:
+        if well_conditioned(b_hat):
             return -beta * b - alpha * a, b_hat
     raise DegeneratePencilError(
         f"no normalization with cond(B_hat) < {_PENCIL_COND_LIMIT:.1e} "
